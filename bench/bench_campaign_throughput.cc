@@ -19,7 +19,8 @@
  *
  *   bench_campaign_throughput [--smoke] [--threads N] [--seed N]
  *
- * Emits BENCH_campaign_throughput.json at the repository root.
+ * Emits BENCH_campaign_throughput.json at the repository root (a
+ * --smoke run writes it to the working directory instead).
  */
 
 #include <cstdio>
@@ -243,7 +244,7 @@ main(int argc, char **argv)
     printf("\n");
 
     std::string path =
-        benchio::repoRootedPath("BENCH_campaign_throughput.json");
+        benchio::outputPath("BENCH_campaign_throughput.json", smoke);
     FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
         std::perror(path.c_str());

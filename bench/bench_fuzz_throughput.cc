@@ -7,14 +7,14 @@
  * across the verify worker pool.
  *
  * The campaign is run once per oracle rotation rung so the cost of
- * the dispatch-tier comparisons is visible as its own row:
+ * the fast-functional comparison is visible as its own row:
  *
  *   cycle-tiers      word-walk + µop bit-comparison only
- *   +threaded        ... plus the direct-threaded bit-comparison
- *   +threaded+fast   ... plus the fast-functional outcome check
+ *   +fast            ... plus the fast-functional outcome check
  *                    (the default rotation nightly fuzz runs)
  *
- * Emits BENCH_fuzz_throughput.json at the repo root.
+ * Emits BENCH_fuzz_throughput.json at the repo root (a --smoke run
+ * writes it to the working directory instead).
  *
  *   bench_fuzz_throughput [--seed N] [--rounds N] [--per-round N]
  *                         [--threads N] [--smoke]
@@ -86,7 +86,6 @@ main(int argc, char **argv)
     struct Rung
     {
         const char *name;
-        bool threaded;
         bool fast;
         size_t executed = 0;
         double secs = 0;
@@ -96,16 +95,14 @@ main(int argc, char **argv)
         std::vector<Finding> findings;
     };
     std::vector<Rung> rungs = {
-        { "cycle-tiers", false, false },
-        { "+threaded", true, false },
-        { "+threaded+fast", true, true },
+        { "cycle-tiers", false },
+        { "+fast", true },
     };
 
     printf("=== fuzz throughput: oracle rotation rungs%s ===\n\n",
            smoke ? " (smoke)" : "");
     for (Rung &r : rungs) {
         FuzzConfig rc = cfg;
-        rc.oracle.compareThreaded = r.threaded;
         rc.oracle.compareFast = r.fast;
         auto t0 = std::chrono::steady_clock::now();
         FuzzResult res = runFuzz(rc);
@@ -130,7 +127,7 @@ main(int argc, char **argv)
                100.0 * full.rate / base.rate);
 
     std::string outPath =
-        benchio::repoRootedPath("BENCH_fuzz_throughput.json");
+        benchio::outputPath("BENCH_fuzz_throughput.json", smoke);
     FILE *f = fopen(outPath.c_str(), "w");
     if (f) {
         fprintf(f, "{\n  \"smoke\": %s,\n  \"rows\": [\n",
@@ -139,12 +136,10 @@ main(int argc, char **argv)
             const Rung &r = rungs[i];
             fprintf(f,
                     "    {\"rotation\": \"%s\", "
-                    "\"compare_threaded\": %s, "
                     "\"compare_fast\": %s, "
                     "\"execs\": %zu, \"wall_sec\": %.6f, "
                     "\"execs_per_sec\": %.1f, \"clean\": %s}%s\n",
-                    r.name, r.threaded ? "true" : "false",
-                    r.fast ? "true" : "false", r.executed, r.secs,
+                    r.name, r.fast ? "true" : "false", r.executed, r.secs,
                     r.rate, r.clean ? "true" : "false",
                     i + 1 < rungs.size() ? "," : "");
         }

@@ -2,12 +2,12 @@
  * @file
  * Host-side throughput of the λ-machine simulator: simulated cycles
  * and dynamic instructions retired per host second, across the full
- * dispatch-tier ladder (docs/PERF.md) — word-walk, predecoded µop,
- * direct-threaded, and fast-functional. This tracks simulator
- * performance only — the three cycle-accurate tiers execute the
- * same modelled hardware cycle for cycle, which bench_sec6_cpi and
- * the differential suite check; here we measure how fast the host
- * gets through them. The fast-functional tier drops the cycle model
+ * dispatch-tier ladder (docs/PERF.md) — word-walk, the µop
+ * interpreter, and fast-functional. This tracks simulator
+ * performance only — the two cycle-accurate tiers execute the same
+ * modelled hardware cycle for cycle, which bench_sec6_cpi and the
+ * differential suite check; here we measure how fast the host gets
+ * through them. The fast-functional tier drops the cycle model
  * entirely, so tiers are compared on dynamic instructions retired
  * per host second, a tier-invariant measure of program progress.
  *
@@ -19,8 +19,9 @@
  * metadata; a loaded kernel then runs indefinitely (cf. the ICD
  * workload).
  *
- * Emits BENCH_host_throughput.json in the working directory. Pass
- * --smoke for a seconds-long CI canary run of the same matrix.
+ * Emits BENCH_host_throughput.json at the repo root. Pass --smoke
+ * for a seconds-long CI canary run of the same matrix; it writes the
+ * JSON to the working directory instead.
  */
 
 #include <cmath>
@@ -330,10 +331,9 @@ main(int argc, char **argv)
     static const DispatchTier kTiers[] = {
         DispatchTier::WordWalk,
         DispatchTier::Uop,
-        DispatchTier::Threaded,
         DispatchTier::FastFunctional,
     };
-    constexpr size_t kNumTiers = 4;
+    constexpr size_t kNumTiers = 3;
 
     std::printf("=== host throughput: the dispatch-tier ladder%s "
                 "===\n\n",
@@ -342,7 +342,7 @@ main(int argc, char **argv)
                 "tier", "host s", "Mcycles/s", "Minstr/s");
 
     std::vector<Row> rows;
-    double logUop = 0, logThreaded = 0, logFast = 0;
+    double logUop = 0, logFast = 0;
     for (const Workload &w : workloads) {
         for (DispatchTier tier : kTiers) {
             MachineConfig cfg;
@@ -358,32 +358,28 @@ main(int argc, char **argv)
                         row.instrsPerSec() / 1e6);
             rows.push_back(std::move(row));
         }
-        // Per-workload speedups, all relative to the adjacent rung
-        // below on the ladder's instrs/s (a tier-invariant measure
-        // of program progress).
+        // Per-workload speedups over the ladder's instrs/s (a
+        // tier-invariant measure of program progress): µop relative
+        // to word-walk, fast-functional relative to µop.
         const Row *base = &rows[rows.size() - kNumTiers];
         double sUop = base[1].instrsPerSec() / base[0].instrsPerSec();
-        double sThr = base[2].instrsPerSec() / base[1].instrsPerSec();
         double sFast =
-            base[3].instrsPerSec() / base[1].instrsPerSec();
+            base[2].instrsPerSec() / base[1].instrsPerSec();
         logUop += std::log(sUop);
-        logThreaded += std::log(sThr);
         logFast += std::log(sFast);
         std::printf("  %-12s uop-vs-word-walk %.2fx, "
-                    "threaded-vs-uop %.2fx, fast-vs-uop %.2fx\n\n",
-                    w.name.c_str(), sUop, sThr, sFast);
+                    "fast-vs-uop %.2fx\n\n",
+                    w.name.c_str(), sUop, sFast);
     }
     double geomeanUop = std::exp(logUop / workloads.size());
-    double geomeanThreaded = std::exp(logThreaded / workloads.size());
     double geomeanFast = std::exp(logFast / workloads.size());
     std::printf("  geomean speedups: uop-vs-word-walk %.2fx, "
-                "threaded-vs-uop %.2fx, fast-vs-uop %.2fx\n\n",
-                geomeanUop, geomeanThreaded, geomeanFast);
+                "fast-vs-uop %.2fx\n\n",
+                geomeanUop, geomeanFast);
 
-    // Machine-readable results for trend tracking, at the repo root
-    // so CI can archive them from a fixed location.
+    // Machine-readable results for trend tracking (bench_paths.hh).
     std::string outPath =
-        benchio::repoRootedPath("BENCH_host_throughput.json");
+        benchio::outputPath("BENCH_host_throughput.json", smoke);
     FILE *f = std::fopen(outPath.c_str(), "w");
     if (!f) {
         std::perror(outPath.c_str());
@@ -406,9 +402,8 @@ main(int argc, char **argv)
     }
     std::fprintf(f,
                  "  ],\n  \"geomean_speedup\": %.3f,\n"
-                 "  \"geomean_threaded_vs_uop\": %.3f,\n"
                  "  \"geomean_fast_vs_uop\": %.3f\n}\n",
-                 geomeanUop, geomeanThreaded, geomeanFast);
+                 geomeanUop, geomeanFast);
     std::fclose(f);
     std::printf("wrote %s\n", outPath.c_str());
     return 0;

@@ -12,7 +12,8 @@
  *                every run cross-checked bit-exact against the
  *                machine (outcome, value-class, cycles, I/O length)
  *
- * Emits BENCH_ir_throughput.json at the repo root.
+ * Emits BENCH_ir_throughput.json at the repo root (a --smoke run
+ * writes it to the working directory instead).
  *
  *   bench_ir [--seed N] [--programs N] [--reps N] [--smoke]
  *
@@ -195,7 +196,7 @@ main(int argc, char **argv)
                100.0 * irCps / machCps, mismatches);
 
     std::string outPath =
-        benchio::repoRootedPath("BENCH_ir_throughput.json");
+        benchio::outputPath("BENCH_ir_throughput.json", smoke);
     FILE *f = fopen(outPath.c_str(), "w");
     if (f) {
         fprintf(f,

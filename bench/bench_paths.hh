@@ -2,11 +2,14 @@
  * @file
  * Where bench binaries write their machine-readable results.
  *
- * CI runs benches from the build tree but archives BENCH_*.json
- * artifacts from the repository root, so the JSON lands next to
- * ROADMAP.md wherever the binary was launched from: walk up from
- * the working directory to the first ancestor holding ROADMAP.md,
- * falling back to the working directory itself.
+ * A full run's JSON lands next to ROADMAP.md wherever the binary was
+ * launched from: walk up from the working directory to the first
+ * ancestor holding ROADMAP.md, falling back to the working directory
+ * itself. Those repo-root files are the tracked results. A --smoke
+ * run writes to the working directory instead, so the test suite
+ * (which runs smokes from the build tree) never rewrites a tracked
+ * file; CI launches its smoke steps from the repository root, so
+ * their artifacts still land there.
  */
 
 #ifndef ZARF_BENCH_PATHS_HH
@@ -33,6 +36,14 @@ repoRootedPath(const std::string &filename)
             break;
     }
     return filename;
+}
+
+/** Where a bench writes `filename`: the repo root for a full run,
+ *  the working directory for a smoke run. */
+inline std::string
+outputPath(const std::string &filename, bool smoke)
+{
+    return smoke ? filename : repoRootedPath(filename);
 }
 
 } // namespace zarf::benchio

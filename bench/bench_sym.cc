@@ -11,7 +11,8 @@
  *                     (the configuration `ctest -L sym` and the
  *                     nightly corpus sweep actually run)
  *
- * Emits BENCH_sym_throughput.json at the repo root.
+ * Emits BENCH_sym_throughput.json at the repo root (a --smoke run
+ * writes it to the working directory instead).
  *
  *   bench_sym [--seed N] [--programs N] [--threads N] [--smoke]
  *
@@ -190,7 +191,7 @@ main(int argc, char **argv)
     }
 
     std::string outPath =
-        benchio::repoRootedPath("BENCH_sym_throughput.json");
+        benchio::outputPath("BENCH_sym_throughput.json", smoke);
     FILE *f = fopen(outPath.c_str(), "w");
     if (f) {
         fprintf(f,

@@ -161,19 +161,10 @@ runOracle(const Image &image, const OracleConfig &cfg)
     Machine ref(image, refBus, rc);
     Machine::Outcome refOut = ref.run(cfg.maxCycles);
 
-    // The threaded and fast-functional tiers run even on images the
-    // oracle later classifies Rejected: like the two machines above,
-    // the assertion there is "no crash, no UB" under the sanitizer
-    // presets. Their comparisons happen after the rejection gates.
-    RecordBus thrBus;
-    MachineConfig tc = mc;
-    tc.tier = DispatchTier::Threaded;
-    tc.trace = nullptr;
-    Machine thr(image, thrBus, tc);
-    Machine::Outcome thrOut{ MachineStatus::Running, nullptr, "" };
-    if (cfg.compareThreaded)
-        thrOut = thr.run(cfg.maxCycles);
-
+    // The fast-functional tier runs even on images the oracle later
+    // classifies Rejected: like the two machines above, the
+    // assertion there is "no crash, no UB" under the sanitizer
+    // presets. Its comparison happens after the rejection gates.
     RecordBus fastBus;
     MachineConfig fc = mc;
     fc.tier = DispatchTier::FastFunctional;
@@ -214,43 +205,33 @@ runOracle(const Image &image, const OracleConfig &cfg)
         return r;
     }
 
-    // Cycle-accurate tiers vs the µop run: bit-exact on everything
+    // Word-walking machine vs the µop run: bit-exact on everything
     // observable (status, diagnostic, total cycles, value, the full
     // statistics block, the I/O log).
-    auto machineDiffVs = [&](Machine &m, const Machine::Outcome &out,
-                             RecordBus &bus) -> std::string {
-        if (uopOut.status != out.status)
+    auto machineDiff = [&]() -> std::string {
+        if (uopOut.status != refOut.status)
             return std::string("machine status: ") +
                    machineStatusName(uopOut.status) + " vs " +
-                   machineStatusName(out.status);
-        if (uopOut.diagnostic != out.diagnostic)
+                   machineStatusName(refOut.status);
+        if (uopOut.diagnostic != refOut.diagnostic)
             return "machine diagnostic: \"" + uopOut.diagnostic +
-                   "\" vs \"" + out.diagnostic + "\"";
-        if (uop.cycles() != m.cycles())
-            return fmt("machine cycles", uop.cycles(), m.cycles());
-        if (!valuesEqual(uopOut.value, out.value))
+                   "\" vs \"" + refOut.diagnostic + "\"";
+        if (uop.cycles() != ref.cycles())
+            return fmt("machine cycles", uop.cycles(), ref.cycles());
+        if (!valuesEqual(uopOut.value, refOut.value))
             return "machine value: " + valueStr(uopOut.value) +
-                   " vs " + valueStr(out.value);
-        std::string sd = diffStats(uop.stats(), m.stats());
+                   " vs " + valueStr(refOut.value);
+        std::string sd = diffStats(uop.stats(), ref.stats());
         if (!sd.empty())
             return "machine stats " + sd;
-        if (!(uopBus.ops == bus.ops))
+        if (!(uopBus.ops == refBus.ops))
             return "machine io logs differ";
         return "";
     };
-    if (std::string d = machineDiffVs(ref, refOut, refBus);
-        !d.empty()) {
+    if (std::string d = machineDiff(); !d.empty()) {
         r.verdict = Verdict::Divergence;
         r.detail = "uop-vs-ref " + d;
         return r;
-    }
-    if (cfg.compareThreaded) {
-        if (std::string d = machineDiffVs(thr, thrOut, thrBus);
-            !d.empty()) {
-            r.verdict = Verdict::Divergence;
-            r.detail = "uop-vs-threaded " + d;
-            return r;
-        }
     }
 
     // Fast-functional tier: outcome equality only — status,

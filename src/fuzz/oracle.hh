@@ -5,11 +5,12 @@
  *
  * A candidate binary image is run through the six Zarf evaluators —
  * the eager big-step reference (sem/bigstep.hh), the lazy small-step
- * reference (sem/smallstep.hh), and the cycle-level machine on every
- * rung of its dispatch-tier ladder: walking raw image words,
- * executing predecoded µop streams, direct-threaded dispatch, and
- * the fast-functional mode (machine/threaded.hh) — plus a
- * snapshot/restore replay of the machine mid-run. The verdict says
+ * reference (sem/smallstep.hh), the lifted-IR evaluator (ir/eval.hh),
+ * and the cycle-level machine on every rung of its dispatch-tier
+ * ladder: walking raw image words, the µop interpreter over
+ * predecoded streams, and the fast-functional mode
+ * (machine/threaded.hh) — plus a snapshot/restore replay of the
+ * machine mid-run. The verdict says
  * whether the implementations agree under the documented equivalence
  * map below.
  *
@@ -26,11 +27,14 @@
  *    not a divergence — it is the documented load-time/run-time
  *    strictness difference, and the other engines' behavior on such
  *    images is not compared.
- *  - On every decode-accepted, predecode-accepted image the three
- *    cycle-accurate machine tiers (word-walk, µop, threaded) must
- *    agree *bit-exactly*: status, diagnostic, value, total cycles,
- *    the complete statistics block, and the I/O log. Anything less
- *    is a `Divergence`.
+ *  - On every decode-accepted, predecode-accepted image the two
+ *    cycle-accurate machine implementations — the µop interpreter
+ *    and the word-walking machine — must agree *bit-exactly*:
+ *    status, diagnostic, value, total cycles, the complete
+ *    statistics block, and the I/O log. Anything less is a
+ *    `Divergence`. (The µop interpreter's two dispatch flavours,
+ *    computed goto and switch, share every handler body; their
+ *    agreement is checked by `ctest -L threaded`, not here.)
  *  - The fast-functional tier abandons the cycle model, so it is
  *    held to *outcome* equality with the µop run — status,
  *    diagnostic, value, and the I/O log — and only when both runs
@@ -115,8 +119,6 @@ struct OracleConfig
     uint64_t bigSteps = 500'000;
     /** Compare the eager reference where the map allows it. */
     bool compareBigStep = true;
-    /** Run and bit-compare the direct-threaded tier. */
-    bool compareThreaded = true;
     /** Run and outcome-compare the fast-functional tier. */
     bool compareFast = true;
     /** Run the snapshot/restore replay check. */

@@ -6,7 +6,7 @@ namespace zarf
 namespace testhooks
 {
 bool poisonedOperandDefect = false;
-bool forceTableDispatch = false;
+bool forceSwitchDispatch = false;
 } // namespace testhooks
 
 const char *
@@ -17,8 +17,6 @@ dispatchTierName(DispatchTier t)
         return "word-walk";
       case DispatchTier::Uop:
         return "uop";
-      case DispatchTier::Threaded:
-        return "threaded";
       case DispatchTier::FastFunctional:
         return "fast-functional";
     }
@@ -82,25 +80,10 @@ Machine::Impl::restoreFrom(const MachineSnapshot &s)
               "words)",
               s.semispaceWords, cfg.semispaceWords);
     }
-    // Tiers restore within a state family: the µop-walking
-    // cycle-accurate tiers {Uop, Threaded} keep bit-identical
-    // architectural state and ledgers, so their snapshots are
-    // interchangeable; WordWalk keeps its frames elsewhere and
-    // FastFunctional counts steps instead of cycles, so each only
-    // restores within its own tier.
-    auto family = [](DispatchTier t) {
-        switch (t) {
-          case DispatchTier::WordWalk:
-            return 0;
-          case DispatchTier::Uop:
-          case DispatchTier::Threaded:
-            return 1;
-          case DispatchTier::FastFunctional:
-            return 2;
-        }
-        return -1;
-    };
-    if (family(s.tier) != family(tier)) {
+    // Each tier keeps its own state layout and ledger: WordWalk
+    // keeps its frames elsewhere and FastFunctional counts steps
+    // instead of cycles, so a snapshot restores only into its tier.
+    if (s.tier != tier) {
         fatal("machine restore: dispatch tier mismatch (%s snapshot "
               "into a %s machine)",
               dispatchTierName(s.tier), dispatchTierName(tier));
@@ -128,8 +111,7 @@ Machine::Impl::restoreFrom(const MachineSnapshot &s)
 
 Machine::Machine(const Image &image, IoBus &bus, MachineConfig config)
     : impl(std::make_unique<Impl>(
-          LoadedImage::load(image, tierUsesPredecode(
-                                       config.effectiveTier())),
+          LoadedImage::load(image, tierUsesPredecode(config.tier)),
           bus, config))
 {}
 

@@ -49,25 +49,26 @@ class MachineSnapshot;
 /**
  * How the host finds the next control-FSM state to visit — the
  * dispatch-tier ladder (docs/PERF.md, "The dispatch-tier ladder").
- * None of the cycle-accurate tiers changes a modelled cycle; the
- * fast-functional tier abandons the cycle model entirely.
+ * Three behaviours: the two cycle-accurate tiers charge the same
+ * modelled cycles; the fast-functional tier abandons the cycle model
+ * entirely.
  */
 enum class DispatchTier : uint8_t
 {
     /** Re-fetch and re-decode raw image words every step — the
-     *  original reference machine, kept verbatim as the differential
-     *  baseline. Cycle-accurate. */
+     *  original reference machine, kept verbatim as the independent
+     *  differential baseline. Cycle-accurate. */
     WordWalk,
-    /** Walk predecoded µop streams through a central switch on the
-     *  pooled hot path (PR 1). Cycle-accurate; the default. */
-    Uop,
-    /** Direct-threaded dispatch over the same µop streams: each
+    /** The µop interpreter (the default): direct-threaded dispatch
+     *  over the predecoded µop streams of machine/predecode.hh. Each
      *  µop's handler is resolved once at predecode time into a
      *  dispatch token, and handlers jump straight to the next
-     *  handler (computed goto where the compiler supports it, a
-     *  function-pointer table otherwise). Bit-identical to the µop
-     *  tier in results, cycles, statistics, and traces. */
-    Threaded,
+     *  handler — by computed goto where the compiler supports it, by
+     *  a switch otherwise (machine/threaded.hh). Cycle-accurate. */
+    Uop,
+    /** Former name of the µop tier, kept as an alias for callers
+     *  that still spell it; selects exactly the Uop behaviour. */
+    Threaded = Uop,
     /** Threaded dispatch with the cycle/FSM accounting and trace
      *  hooks compiled out, plus outcome-preserving superinstruction
      *  fusion. Only results, IO, and the final heap-observable
@@ -112,25 +113,10 @@ struct MachineConfig
     /** Collect every N cycles (0 disables) — the paper's
      *  "configured to run at specific intervals" policy. */
     Cycles gcIntervalCycles = 0;
-    /** Host dispatch tier (see DispatchTier). Cycle-accurate tiers
-     *  are bit-identical to each other on every well-formed image.
-     *  When left at the default (Uop), the deprecated usePredecode
-     *  shim below still selects between Uop and WordWalk so code
-     *  predating the enum keeps its meaning; an explicit non-default
-     *  tier always wins. */
+    /** Host dispatch tier (see DispatchTier). The cycle-accurate
+     *  tiers are bit-identical to each other on every well-formed
+     *  image. */
     DispatchTier tier = DispatchTier::Uop;
-    /** Deprecated shim for the pre-tier bool: false selects the
-     *  word-walking reference path *if* `tier` was left at its
-     *  default. New code should set `tier` directly. */
-    bool usePredecode = true;
-    /** The tier this configuration actually selects. */
-    DispatchTier
-    effectiveTier() const
-    {
-        if (tier == DispatchTier::Uop && !usePredecode)
-            return DispatchTier::WordWalk;
-        return tier;
-    }
     /** Event sink for lifecycle/exec/GC events (null = tracing off;
      *  docs/OBSERVABILITY.md). Not owned; must outlive the machine. */
     obs::Recorder *trace = nullptr;
@@ -215,11 +201,8 @@ class Machine
     std::shared_ptr<const MachineSnapshot> snapshot() const;
 
     /** Adopt a state captured by snapshot(). The receiver must have
-     *  the same semispace size, a state-compatible dispatch tier
-     *  (the µop-walking cycle-accurate tiers {Uop, Threaded} are
-     *  interchangeable; WordWalk and FastFunctional only restore
-     *  within their own tier), and the same image as the snapshot's
-     *  source (fatal otherwise). */
+     *  the same semispace size, the same dispatch tier, and the same
+     *  image as the snapshot's source (fatal otherwise). */
     void restore(const MachineSnapshot &snap);
 
     /** Execute until the status changes or `budget` more cycles

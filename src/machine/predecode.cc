@@ -52,9 +52,9 @@ makeOperand(const Operand &op)
 }
 
 /** Resolve a let µop's direct-threaded dispatch token. Everything
- *  the µop path re-branches on per execution — callee kind, callee
- *  class, saturation vs over/under-application — is static, so the
- *  handler choice is made exactly once, here. */
+ *  a let would otherwise re-branch on per execution — callee kind,
+ *  callee class, saturation vs over/under-application — is static,
+ *  so the handler choice is made exactly once, here. */
 uint8_t
 letToken(const Uop &u)
 {

@@ -32,14 +32,14 @@ namespace zarf::testhooks
 extern bool poisonedOperandDefect;
 
 /**
- * Forces the threaded dispatch tiers to run on the portable
- * function-pointer-table core even when the build supports computed
- * goto, so the fallback core is exercised by `ctest -L threaded` on
- * every platform rather than only on compilers without the
- * extension. Read once per advance() call; same thread-safety
- * caveat as above.
+ * Forces the µop interpreter and the fast-functional core to
+ * dispatch through their switch flavour even when the build supports
+ * computed goto, so the portable flavour — the production path on
+ * compilers without the extension — is exercised by
+ * `ctest -L threaded` on every platform. Read once per advance()
+ * call; same thread-safety caveat as above.
  */
-extern bool forceTableDispatch;
+extern bool forceSwitchDispatch;
 
 } // namespace zarf::testhooks
 

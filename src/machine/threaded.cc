@@ -1,21 +1,21 @@
 /**
  * @file
- * The direct-threaded and fast-functional dispatch tiers
+ * The λ-machine's µop interpreter and fast-functional core
  * (machine/threaded.hh). Both are member functions of Machine::Impl
- * over the same architectural state as the µop tier; the
- * cycle-accurate core replicates every charge, statistic, trace
- * event, and GC trigger point of stepOnceU exactly, and the
- * differential suite (tests/test_machine_threaded.cc) holds it to
- * full-ledger bit-equality.
+ * over the same architectural state as the word-walking reference
+ * path. The µop interpreter is the one cycle-accurate implementation
+ * of the predecoded semantics; the differential suites hold it to
+ * full-ledger bit-equality with the word-walking machine
+ * (fuzz/oracle.hh) and with itself across dispatch flavours
+ * (tests/test_machine_threaded.cc).
  *
- * Two dispatch cores exist for each tier:
+ * Each core has one handler body and two dispatch flavours:
  *
- *  - the computed-goto core (ZARF_HAVE_COMPUTED_GOTO, detected by
- *    CMake): one function, hot state in locals, `goto *tab[tcode]`
- *    between handler labels;
- *  - the portable table core: a per-token member-function-pointer
- *    table (kTokTable), used when the extension is unavailable or
- *    when testhooks::forceTableDispatch selects it at runtime.
+ *  - computed goto (ZARF_HAVE_COMPUTED_GOTO, detected by CMake):
+ *    `goto *tab[tcode]` between handler labels;
+ *  - a switch over the same labels, used when the extension is
+ *    unavailable or when testhooks::forceSwitchDispatch selects it
+ *    at runtime.
  */
 
 #include "machine/threaded.hh"
@@ -36,240 +36,15 @@ threadedDispatchUsesComputedGoto()
 }
 
 // ================================================================
-// Portable table core, cycle-accurate tier. The mode loop and the
-// token handlers are the stepOnceU/stepExecU/execLetU code verbatim,
-// with the exec decision tree (kind, callee kind, callee class,
-// saturation) pre-resolved into the token.
+// The µop interpreter. One function: hot state (the cycle counter
+// `tot`, the value register `vr`, the instruction-class cycle
+// bucket) lives in locals across handler labels, and each handler
+// jumps to its statically known successor through the inter-step
+// preamble. The macros below express the machine's charge and
+// status helpers over the locals.
 // ================================================================
 
-/** The shared Let head: class/count/charge/trace, then fetch and
- *  resolve every argument word. False when a resolve failed (the
- *  machine is already Stuck). */
-bool
-Machine::Impl::letPrologueT(const Uop &u)
-{
-    curClass = InstrClass::Let;
-    ++machineStats.let.count;
-    charge(cfg.timing.letBase, MState::ApFetchLet);
-    if (traceExec)
-        emitT(obs::EventKind::ExecLet,
-              static_cast<int64_t>(act.funcId),
-              static_cast<int64_t>(u.nargs));
-    letScratch.clear();
-    const UOperand *ops = pre.operands.data() + u.argsBegin;
-    for (uint32_t i = 0; i < u.nargs; ++i) {
-        charge(cfg.timing.letPerArg, MState::ApFetchArg);
-        Word v = resolveU(ops[i]);
-        if (status != MachineStatus::Running)
-            return false;
-        poisonGuard(v);
-        letScratch.push_back(v);
-    }
-    machineStats.letArgs += u.nargs;
-    return true;
-}
-
-void
-Machine::Impl::tokLetConsSat(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    act.locals.push_back(mval::mkRef(
-        allocCons(u.calleeId, letScratch.data(), letScratch.size())));
-    act.pc = u.next;
-}
-
-void
-Machine::Impl::tokLetConsOver(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    act.locals.push_back(mval::mkRef(allocError(kErrArity)));
-    act.pc = u.next;
-}
-
-void
-Machine::Impl::tokLetApp(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    act.locals.push_back(mval::mkRef(
-        allocApp(u.calleeId, letScratch.data(), letScratch.size())));
-    act.pc = u.next;
-}
-
-void
-Machine::Impl::tokLetUnknown(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    fail("let names an unknown function identifier");
-}
-
-void
-Machine::Impl::tokLetAlias(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    Word callee;
-    if (u.calleeKind == CalleeKind::Local) {
-        if (u.calleeId >= act.locals.size()) {
-            fail("callee local out of range");
-            return;
-        }
-        callee = act.locals[u.calleeId];
-    } else {
-        if (u.calleeId >= act.args.size()) {
-            fail("callee arg out of range");
-            return;
-        }
-        callee = act.args[u.calleeId];
-    }
-    charge(cfg.timing.collapseUpdate, MState::ApAliasLocal);
-    act.locals.push_back(callee);
-    act.pc = u.next;
-}
-
-void
-Machine::Impl::tokLetBind(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    Word callee;
-    if (u.calleeKind == CalleeKind::Local) {
-        if (u.calleeId >= act.locals.size()) {
-            fail("callee local out of range");
-            return;
-        }
-        callee = act.locals[u.calleeId];
-    } else {
-        if (u.calleeId >= act.args.size()) {
-            fail("callee arg out of range");
-            return;
-        }
-        callee = act.args[u.calleeId];
-    }
-    act.locals.push_back(bindApplyU(callee));
-    act.pc = u.next;
-}
-
-void
-Machine::Impl::tokCase(const Uop &u)
-{
-    curClass = InstrClass::Case;
-    ++machineStats.caseInstr.count;
-    charge(cfg.timing.caseBase, MState::EvFetchCase);
-    if (traceExec)
-        emitT(obs::EventKind::ExecCase,
-              static_cast<int64_t>(act.funcId));
-    Word scrut = resolveU(u.operand);
-    if (status != MachineStatus::Running)
-        return;
-    poisonGuard(scrut);
-    Frame &f = conts.push(Frame::Kind::Case);
-    f.act.funcId = act.funcId;
-    f.act.pc = act.pc;
-    f.act.args.assign(act.args.begin(), act.args.end());
-    f.act.locals.assign(act.locals.begin(), act.locals.end());
-    vreg = scrut;
-    mode = Mode::EvalVal;
-}
-
-void
-Machine::Impl::tokResult(const Uop &u)
-{
-    curClass = InstrClass::Result;
-    ++machineStats.result.count;
-    charge(cfg.timing.resultBase, MState::EvFetchResult);
-    if (traceExec)
-        emitT(obs::EventKind::ExecResult,
-              static_cast<int64_t>(act.funcId));
-    Word v = resolveU(u.operand);
-    if (status != MachineStatus::Running)
-        return;
-    poisonGuard(v);
-    vreg = v;
-    mode = Mode::EvalVal;
-}
-
-void
-Machine::Impl::tokInvalid(const Uop &)
-{
-    fail(strprintf("unexpected opcode at word %zu", act.pc));
-}
-
-const Machine::Impl::TokFn Machine::Impl::kTokTable[kNumTok] = {
-    &Machine::Impl::tokLetConsSat,  // kTokLetConsSat
-    &Machine::Impl::tokLetConsOver, // kTokLetConsOver
-    &Machine::Impl::tokLetApp,      // kTokLetApp
-    &Machine::Impl::tokLetUnknown,  // kTokLetUnknown
-    &Machine::Impl::tokLetAlias,    // kTokLetAlias
-    &Machine::Impl::tokLetBind,     // kTokLetBind
-    &Machine::Impl::tokCase,        // kTokCase
-    &Machine::Impl::tokResult,      // kTokResult
-    &Machine::Impl::tokInvalid,     // kTokInvalid
-};
-
-void
-Machine::Impl::advanceThreadedTable(Cycles target)
-{
-    while (status == MachineStatus::Running && total < target) {
-        if (!heapHealthy())
-            return;
-        if (cfg.gcOnExhaustion && heap.freeWords() < kGcSafeMargin) {
-            runGc(rootProviderU());
-            if (!heapHealthy())
-                return;
-            if (heap.freeWords() < kGcSafeMargin) {
-                noteStatus(MachineStatus::OutOfMemory);
-                status = MachineStatus::OutOfMemory;
-                diagnostic = "live set exceeds semispace capacity";
-                return;
-            }
-        }
-        if (cfg.gcIntervalCycles &&
-            total - lastGcAt >= cfg.gcIntervalCycles) {
-            runGc(rootProviderU());
-            if (!heapHealthy())
-                return;
-        }
-        switch (mode) {
-          case Mode::EvalVal:
-            stepEvalU();
-            break;
-          case Mode::Exec:
-            if (act.pc >= pre.uops.size()) {
-                fail("program counter ran off the image");
-                break;
-            }
-            (this->*kTokTable[pre.uops[act.pc].tcode])(
-                pre.uops[act.pc]);
-            break;
-          case Mode::Deliver:
-            if (conts.empty()) {
-                noteStatus(MachineStatus::Done);
-                status = MachineStatus::Done;
-                return;
-            }
-            stepDeliverU();
-            break;
-        }
-    }
-}
-
-#ifdef ZARF_HAVE_COMPUTED_GOTO
-
-// ================================================================
-// Computed-goto core, cycle-accurate tier. One function: hot state
-// (the cycle counter `tot`, the value register `vr`, the
-// instruction-class cycle bucket) lives in locals across handler
-// labels, and each handler jumps to its statically known successor
-// through the inter-step preamble. Every charge, statistic, trace
-// event, and GC trigger point matches stepOnceU to the bit; the
-// macros below are the µop helpers re-expressed over the locals.
-// ================================================================
-
-// Charge one visit of state `st` costing n cycles (µop charge()).
+// Charge one visit of state `st` costing n cycles (Impl::charge()).
 // The stats-ledger shares (execCycles and the per-class bucket) are
 // accumulated in the locals `exc`/`bkt` and folded into the members
 // only at SYNC/SETCLASS, so the hot path touches no memory; every
@@ -286,7 +61,7 @@ Machine::Impl::advanceThreadedTable(Cycles target)
         bkt += c_;                                                    \
     } while (0)
 
-// Charge `visits` visits of `st` costing n in total (µop chargeN()).
+// Charge `visits` visits of `st` costing n in total (Impl::chargeN()).
 #define CHARGE_N(st, visits, n)                                       \
     do {                                                              \
         Cycles c_ = (n);                                              \
@@ -317,8 +92,7 @@ Machine::Impl::advanceThreadedTable(Cycles target)
         vr = vreg;                                                    \
     } while (0)
 
-// fail() with the member mode a µop step would have had at this
-// point (the mode of the step being executed).
+// fail() with the member mode of the step being executed.
 #define FAILX(why, m)                                                 \
     do {                                                              \
         mode = Mode::m;                                               \
@@ -327,7 +101,7 @@ Machine::Impl::advanceThreadedTable(Cycles target)
         return;                                                       \
     } while (0)
 
-// Switch the instruction-class cycle bucket (µop curClass writes).
+// Switch the instruction-class cycle bucket (the curClass writes).
 // Folds the pending charges into the outgoing class first.
 #define SETCLASS(cls, field)                                          \
     do {                                                              \
@@ -337,9 +111,9 @@ Machine::Impl::advanceThreadedTable(Cycles target)
         bucket = &machineStats.field.cycles;                          \
     } while (0)
 
-// The inter-step boundary: budget check, then the stepOnceU
-// preamble (health gate, safe-margin GC, interval GC), then a
-// direct jump to the next handler. `m` is the Mode the next step
+// The inter-step boundary: budget check, then the step preamble
+// (health gate, safe-margin GC, interval GC), then a direct jump to
+// the next handler. `m` is the Mode the next step
 // runs in — stored only on the exit paths, never on the hot path.
 #define NEXT(L, m)                                                    \
     do {                                                              \
@@ -379,7 +153,7 @@ Machine::Impl::advanceThreadedTable(Cycles target)
         goto L;                                                       \
     } while (0)
 
-// Inline resolveU with the failure jump folded in (no post-call
+// Resolve an operand, with the failure jump folded in (no post-call
 // status check on the hot path).
 #define RESOLVE_TO(dst, op, m)                                        \
     do {                                                              \
@@ -410,7 +184,7 @@ Machine::Impl::advanceThreadedTable(Cycles target)
     } while (0)
 
 // The shared Let head: class/count/charge/trace, then fetch and
-// resolve every argument word into letScratch (execLetU prologue).
+// resolve every argument word into letScratch.
 #define LET_HEAD()                                                    \
     do {                                                              \
         SETCLASS(Let, let);                                           \
@@ -431,7 +205,7 @@ Machine::Impl::advanceThreadedTable(Cycles target)
         machineStats.letArgs += u->nargs;                             \
     } while (0)
 
-// Read the callee value of a Local/Arg-callee let (execLetU).
+// Read the callee value of a Local/Arg-callee let.
 #define FETCH_CALLEE(dst)                                             \
     do {                                                              \
         if (u->calleeKind == CalleeKind::Local) {                     \
@@ -445,8 +219,22 @@ Machine::Impl::advanceThreadedTable(Cycles target)
         }                                                             \
     } while (0)
 
+// Enter Deliver mode. Under a deep-force export, delivering to the
+// export's base frame depth is the export's exit: Done, checked
+// before the next step's preamble and without a MachDone event.
+#define NEXT_DELIVER()                                                \
+    do {                                                              \
+        if (conts.size() == exportBase) [[unlikely]] {                \
+            mode = Mode::Deliver;                                     \
+            SYNC();                                                   \
+            status = MachineStatus::Done;                             \
+            return;                                                   \
+        }                                                             \
+        NEXT(L_deliver, Deliver);                                     \
+    } while (0)
+
 void
-Machine::Impl::advanceThreadedGoto(Cycles target)
+Machine::Impl::advanceUop(Cycles target, size_t exportBase)
 {
     if (status != MachineStatus::Running)
         return;
@@ -460,6 +248,8 @@ Machine::Impl::advanceThreadedGoto(Cycles target)
     const size_t nUops = pre.uops.size();
     const UOperand *const operands = pre.operands.data();
     const UPattern *const patterns = pre.patterns.data();
+    [[maybe_unused]] const bool useSwitch =
+        testhooks::forceSwitchDispatch;
 
     // Hot registers.
     Cycles tot = total;
@@ -484,6 +274,7 @@ Machine::Impl::advanceThreadedGoto(Cycles target)
         break;
     }
 
+#ifdef ZARF_HAVE_COMPUTED_GOTO
     // Dispatch tables: one label per UTok, one per Frame::Kind.
     static const void *const tokTab[kNumTok] = {
         &&T_letConsSat, &&T_letConsOver, &&T_letApp, &&T_letUnknown,
@@ -493,9 +284,10 @@ Machine::Impl::advanceThreadedGoto(Cycles target)
     static const void *const delivTab[4] = {
         &&D_update, &&D_case, &&D_prim, &&D_apply,
     };
+#endif
 
-    // Allocation helpers over the locals (µop allocApp/allocCons/
-    // allocAppV/allocError with the identical charge sequence).
+    // Allocation helpers over the locals: each charges the
+    // allocation header and one ApWriteArg visit per payload word.
     auto allocAppL = [&](Word fn, const Word *args, size_t n) -> Word {
         bool pad = n == 0;
         Word zero = 0;
@@ -531,7 +323,7 @@ Machine::Impl::advanceThreadedGoto(Cycles target)
         Word field = mval::mkInt(code);
         return allocConsL(static_cast<Word>(Prim::Error), &field, 1);
     };
-    // bindApplyU over the locals.
+    // Apply the letScratch arguments to a callee value.
     auto bindApplyL = [&](Word callee) -> Word {
         Word c = heap.chase(callee);
         if (mval::isInt(c))
@@ -582,12 +374,12 @@ Machine::Impl::advanceThreadedGoto(Cycles target)
     return; // unreachable: the switch above covers every mode
 
     // ------------------------------------------------------------
-    // EvalVal (stepEvalU)
+    // EvalVal
     // ------------------------------------------------------------
 L_eval:
     vr = heap.chase(vr);
     if (mval::isInt(vr))
-        NEXT(L_deliver, Deliver);
+        NEXT_DELIVER();
     {
         Word addr = mval::refOf(vr);
         Word h = heap.header(addr);
@@ -597,7 +389,7 @@ L_eval:
             FAILX("re-entered a thunk under evaluation", EvalVal);
         if (objIsWhnfU(h)) {
             ++machineStats.whnfHits;
-            NEXT(L_deliver, Deliver);
+            NEXT_DELIVER();
         }
 
         while (!conts.empty() &&
@@ -652,7 +444,10 @@ L_eval:
             CHARGE(tm.applyExtra, EvApplyExtra);
         }
         if (isPrimId(fn)) {
-            // beginPrimU, inline.
+            // Primitive evaluation is accounted to the let class:
+            // the paper's "applying two arguments to a primitive ALU
+            // function and evaluating it" is a single let-application
+            // unit (Sec. 5.2).
             SETCLASS(Let, let);
             CHARGE(tm.primSetup, EvPrimSetup);
             if (evalScratch.empty())
@@ -677,13 +472,36 @@ L_eval:
     NEXT(L_exec, Exec);
 
     // ------------------------------------------------------------
-    // Exec (stepExecU): fetch and token-dispatch
+    // Exec: fetch and token-dispatch
     // ------------------------------------------------------------
 L_exec:
     if (act.pc >= nUops) [[unlikely]]
         FAILX("program counter ran off the image", Exec);
     u = uops + act.pc;
-    goto *tokTab[u->tcode];
+#ifdef ZARF_HAVE_COMPUTED_GOTO
+    if (!useSwitch)
+        goto *tokTab[u->tcode];
+#endif
+    switch (u->tcode) {
+      case kTokLetConsSat:
+        goto T_letConsSat;
+      case kTokLetConsOver:
+        goto T_letConsOver;
+      case kTokLetApp:
+        goto T_letApp;
+      case kTokLetUnknown:
+        goto T_letUnknown;
+      case kTokLetAlias:
+        goto T_letAlias;
+      case kTokLetBind:
+        goto T_letBind;
+      case kTokCase:
+        goto T_case;
+      case kTokResult:
+        goto T_result;
+      default:
+        goto T_invalid;
+    }
 
 T_letConsSat:
     LET_HEAD();
@@ -741,8 +559,9 @@ T_case:
         Word scrut;
         RESOLVE_TO(scrut, u->operand, Exec);
         // Copy (not swap) the activation into the frame: the stale
-        // copy left in `act` is part of the GC root walk, and the
-        // µop path's evacuation order depends on it.
+        // copy left in `act` is part of the GC root walk, as in the
+        // word-walking machine, and the evacuation order — part of
+        // the ledger the oracle compares — depends on it.
         Frame &f = conts.push(Frame::Kind::Case);
         f.act.funcId = act.funcId;
         f.act.pc = act.pc;
@@ -770,7 +589,7 @@ T_invalid:
     FAILX(strprintf("unexpected opcode at word %zu", act.pc), Exec);
 
     // ------------------------------------------------------------
-    // Deliver (stepOnceU Deliver arm + stepDeliverU)
+    // Deliver
     // ------------------------------------------------------------
 L_deliver:
     if (conts.empty()) {
@@ -780,7 +599,20 @@ L_deliver:
         status = MachineStatus::Done;
         return;
     }
-    goto *delivTab[static_cast<int>(conts.top().kind)];
+#ifdef ZARF_HAVE_COMPUTED_GOTO
+    if (!useSwitch)
+        goto *delivTab[static_cast<int>(conts.top().kind)];
+#endif
+    switch (conts.top().kind) {
+      case Frame::Kind::Update:
+        goto D_update;
+      case Frame::Kind::Case:
+        goto D_case;
+      case Frame::Kind::PrimArgs:
+        goto D_prim;
+      case Frame::Kind::Apply:
+        goto D_apply;
+    }
 
 D_update:
     {
@@ -793,12 +625,12 @@ D_update:
         CHARGE(tm.update, EvUpdate);
         ++machineStats.updates;
     }
-    NEXT(L_deliver, Deliver);
+    NEXT_DELIVER(); // stay in Deliver
 
 D_case:
     // Swap instead of move: the slot keeps the dead activation's
-    // buffers for the next push to recycle (stepDeliverU), then
-    // resumeCaseU verbatim.
+    // buffers for the next push to recycle. Then walk the flattened
+    // jump table, one cycle per branch head.
     std::swap(act, conts.top().act);
     conts.pop();
     CHARGE(tm.returnToCase, EvReturn);
@@ -841,7 +673,6 @@ D_case:
     NEXT(L_exec, Exec);
 
 D_prim:
-    // resumePrimU, verbatim.
     {
         Frame &f = conts.top();
         SETCLASS(Let, let);
@@ -855,18 +686,19 @@ D_prim:
             if (mhdr::kindOf(h) == ObjKind::Cons &&
                 mhdr::fnOf(h) == static_cast<Word>(Prim::Error)) {
                 vr = v;
-                NEXT(L_deliver, Deliver);
+                NEXT_DELIVER();
             }
             SWord code = (p == Prim::GetInt || p == Prim::PutInt)
                              ? kErrIoNotInt
                              : kErrBadApply;
             vr = mval::mkRef(allocErrorL(code));
-            NEXT(L_deliver, Deliver);
+            NEXT_DELIVER();
         }
 
         f.collected.push_back(mval::intOf(v));
         f.nextArg++;
         if (f.nextArg < f.primArgs.size()) {
+            // More operands: the frame stays on the stack.
             vr = f.primArgs[f.nextArg];
             NEXT(L_eval, EvalVal);
         }
@@ -891,6 +723,7 @@ D_prim:
             vr = mval::mkInt(f.collected[1]);
             break;
           case Prim::InvokeGc:
+            // The hardware GC-invocation function: collect now.
             mode = Mode::Deliver;
             SYNC();
             runGc(rootProviderU());
@@ -906,10 +739,9 @@ D_prim:
           }
         }
     }
-    NEXT(L_deliver, Deliver);
+    NEXT_DELIVER();
 
 D_apply:
-    // resumeApplyU, verbatim.
     {
         Frame &f = conts.top();
         conts.pop(); // slot storage stays valid; nothing pushes below
@@ -918,7 +750,7 @@ D_apply:
         Word v = heap.chase(vr);
         if (mval::isInt(v)) {
             vr = mval::mkRef(allocErrorL(kErrBadApply));
-            NEXT(L_deliver, Deliver);
+            NEXT_DELIVER();
         }
         Word addr = mval::refOf(v);
         Word h = heap.header(addr);
@@ -926,8 +758,9 @@ D_apply:
             vr = mhdr::fnOf(h) == static_cast<Word>(Prim::Error)
                      ? v
                      : mval::mkRef(allocErrorL(kErrArity));
-            NEXT(L_deliver, Deliver);
+            NEXT_DELIVER();
         }
+        // Partial application: extend and re-evaluate.
         Word fn = mhdr::fnOf(h);
         Word have = mhdr::argsOf(h);
         applyScratch.clear();
@@ -961,31 +794,14 @@ D_apply:
 #undef RESOLVE_TO
 #undef LET_HEAD
 #undef FETCH_CALLEE
-
-#endif // ZARF_HAVE_COMPUTED_GOTO
-
-// ================================================================
-// Tier entry points: pick the core.
-// ================================================================
-
-void
-Machine::Impl::advanceThreaded(Cycles target)
-{
-#ifdef ZARF_HAVE_COMPUTED_GOTO
-    if (!testhooks::forceTableDispatch) {
-        advanceThreadedGoto(target);
-        return;
-    }
-#endif
-    advanceThreadedTable(target);
-}
+#undef NEXT_DELIVER
 
 // ================================================================
-// Fast-functional tier. One body carries both dispatch flavors:
-// computed goto when the build has it and the test hook does not
-// force the portable core, otherwise a dense switch (a jump table
-// after lowering). The cycle/FSM accounting and the per-µop trace
-// hooks are compiled out — total counts *fused steps* — and two
+// Fast-functional tier. One body carries both dispatch flavours, as
+// in the µop interpreter: computed goto when the build has it and
+// the test hook does not force the switch, otherwise a dense switch
+// (a jump table after lowering). The cycle/FSM accounting and the
+// per-µop trace hooks are compiled out — total counts *fused steps* — and two
 // outcome-preserving superinstruction fusions apply:
 //
 //  - case-of-value: a scrutinee that is already WHNF (or an
@@ -1175,8 +991,8 @@ Machine::Impl::advanceFast(Cycles target)
     const size_t nUops = pre.uops.size();
     const UOperand *const operands = pre.operands.data();
     const UPattern *const patterns = pre.patterns.data();
-    [[maybe_unused]] const bool useTable =
-        testhooks::forceTableDispatch;
+    [[maybe_unused]] const bool useSwitch =
+        testhooks::forceSwitchDispatch;
 
     // Hot registers: the step counter and the value register.
     Cycles tot = total;
@@ -1191,7 +1007,7 @@ Machine::Impl::advanceFast(Cycles target)
     };
 #endif
 
-    // Allocation helpers: the µop constructors minus the charges.
+    // Allocation helpers: the µop interpreter's, minus the charges.
     auto allocAppF = [&](Word fn, const Word *args, size_t n) -> Word {
         bool pad = n == 0;
         Word zero = 0;
@@ -1253,7 +1069,7 @@ Machine::Impl::advanceFast(Cycles target)
     };
 
     // Entry preamble: no step counted yet (a zero budget must be a
-    // no-op, as in the µop advance loop).
+    // no-op, as in the µop interpreter).
     if (tot >= target)
         return;
     if (heap.corrupt() || heap.outOfMemory()) [[unlikely]] {
@@ -1408,7 +1224,7 @@ F_exec:
         FFAIL("program counter ran off the image", Exec);
     u = uops + act.pc;
 #ifdef ZARF_HAVE_COMPUTED_GOTO
-    if (!useTable)
+    if (!useSwitch)
         goto *ftokTab[u->tcode];
 #endif
     switch (u->tcode) {

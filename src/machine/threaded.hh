@@ -1,28 +1,27 @@
 /**
  * @file
- * The direct-threaded dispatch tiers of the λ-machine.
+ * The direct-threaded dispatch cores of the λ-machine.
  *
- * The µop tier (machine/predecode.hh) already decodes each image
- * word once, but still finds every handler through a central switch:
- * one indirect branch for the machine mode, another for the µop
- * kind, then a chain of data-dependent tests (callee kind, callee
- * class, saturation). The threaded tiers resolve that whole decision
- * tree once, at predecode time, into a dispatch token (UTok) stored
- * in the µop, and each handler jumps straight to the next handler —
- * a computed goto (`&&label`) where the compiler supports it, a
- * per-token function table otherwise (ZARF_HAVE_COMPUTED_GOTO,
- * feature-detected by CMake). Hot machine state (the value register,
- * the cycle counter, the instruction-class cycle bucket) lives in
- * locals across handlers instead of being reloaded from the Impl per
- * step.
+ * Predecoding (machine/predecode.hh) decodes each image word once and
+ * resolves each µop's whole handler decision tree (kind, callee kind,
+ * callee class, saturation) into a dispatch token (UTok) stored in
+ * the µop. Each handler then jumps straight to the next handler — a
+ * computed goto (`&&label`) where the compiler supports it, a switch
+ * over the same handler labels otherwise (ZARF_HAVE_COMPUTED_GOTO,
+ * feature-detected by CMake; testhooks::forceSwitchDispatch selects
+ * the switch at runtime). Hot machine state (the value register, the
+ * cycle counter, the instruction-class cycle bucket) lives in locals
+ * across handlers instead of being reloaded from the Impl per step.
  *
- * Two tiers share this machinery (DispatchTier in machine.hh):
+ * Two cores share this machinery (DispatchTier in machine.hh):
  *
- *  - Threaded: cycle-accurate. Every charge, statistic, trace event,
- *    and GC trigger point is replicated exactly, so this tier is
- *    bit-identical to the µop tier — results, cycles, MachineStats,
- *    FSM tally, event streams, and snapshots are interchangeable
- *    (tests/test_machine_threaded.cc holds it to that).
+ *  - The µop interpreter (DispatchTier::Uop, the default): the one
+ *    cycle-accurate implementation of the predecoded semantics. It
+ *    also runs the deep-force export of every µop-walking tier. The
+ *    oracle holds it to full-ledger bit-equality with the
+ *    word-walking reference machine (fuzz/oracle.hh), and
+ *    tests/test_machine_threaded.cc holds its two dispatch flavours
+ *    bit-identical to each other.
  *
  *  - FastFunctional: the cycle/FSM accounting and trace hooks are
  *    compiled out and outcome-preserving superinstruction fusion is
@@ -45,10 +44,10 @@
 namespace zarf
 {
 
-/** True when the threaded tiers run on the computed-goto core in
- *  this build (testhooks::forceTableDispatch can still select the
- *  table core at runtime); false when only the portable table core
- *  is compiled in. */
+/** True when the µop and fast-functional cores dispatch by computed
+ *  goto in this build (testhooks::forceSwitchDispatch can still
+ *  select the switch flavour at runtime); false when only the switch
+ *  flavour is compiled in. */
 bool threadedDispatchUsesComputedGoto();
 
 } // namespace zarf

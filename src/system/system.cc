@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "support/logging.hh"
 #include "verify/budget.hh"
 
 namespace zarf::sys
@@ -74,12 +73,6 @@ TwoLayerSystem::lambdaConfig(Cycles epoch) const
     MachineConfig mc;
     mc.semispaceWords = cfg.semispaceWords;
     mc.timing = cfg.lambdaTiming;
-    if (!tierCycleAccurate(cfg.lambdaTier))
-        fatal("two-layer system: the %s dispatch tier has no cycle "
-              "clock to schedule the co-simulation by; use a "
-              "cycle-accurate tier",
-              dispatchTierName(cfg.lambdaTier));
-    mc.tier = cfg.lambdaTier;
     mc.gcOnExhaustion = true;
     mc.trace = cfg.trace;
     mc.traceBias = epoch;

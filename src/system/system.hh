@@ -138,13 +138,6 @@ struct SystemConfig
      *  the deadline machinery). */
     TimingModel lambdaTiming{};
 
-    /** λ-machine dispatch tier. Any cycle-accurate tier is
-     *  behavior-identical here (the threaded tier just co-simulates
-     *  faster); FastFunctional is rejected at construction — the
-     *  co-simulation schedules the two layers by λ cycles, which
-     *  that tier does not model. */
-    DispatchTier lambdaTier = DispatchTier::Uop;
-
     /** Bounded λ->mb FIFO depth; pushes beyond it are dropped and
      *  counted (channelOverflows). */
     size_t channelCapacity = kDefaultChannelCapacity;

@@ -97,7 +97,7 @@ runAt(const Image &img, size_t heapWords, bool predecode)
     RecordBus bus;
     MachineConfig cfg;
     cfg.semispaceWords = heapWords;
-    cfg.usePredecode = predecode;
+    cfg.tier = predecode ? DispatchTier::Uop : DispatchTier::WordWalk;
     Machine m(img, bus, cfg);
     RunOut r;
     r.out = m.run(20'000'000);
@@ -253,7 +253,6 @@ TEST(GcPressureSuite, SnapshotForkUnderGcPressure)
     RecordBus bus;
     MachineConfig cfg;
     cfg.semispaceWords = kTinyHeap;
-    cfg.usePredecode = true;
     Machine src(img, bus, cfg);
     (void)src.advance(straight.cycles / 2);
     auto snap = src.snapshot();

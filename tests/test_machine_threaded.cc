@@ -1,18 +1,27 @@
 /**
  * @file
- * Differential testing of the direct-threaded dispatch tier and the
- * fast-functional mode (machine/threaded.hh) against the µop tier.
+ * Differential testing of the direct-threaded dispatch cores
+ * (machine/threaded.hh).
  *
- * The threaded tier is cycle-accurate: it must be bit-identical to
- * the µop tier in results, total cycle counts, and every statistic —
- * on random programs, under GC pressure, under fault injection, and
- * on the full ICD kernel — and its snapshots must be interchangeable
- * with µop snapshots. The fast-functional tier abandons the cycle
- * model, so it is held to outcome equality only: status, diagnostic,
- * value, and the I/O log. Both tiers carry two dispatch cores
- * (computed goto and a portable table); every differential here runs
- * under both cores via testhooks::forceTableDispatch.
+ * The µop interpreter has one handler body and two dispatch
+ * flavours: computed goto, and the switch that
+ * testhooks::forceSwitchDispatch forces (the production path on
+ * compilers without the extension). The flavours must be
+ * bit-identical in results, total cycle counts, every statistic,
+ * trace events, and FSM tallies — on random programs, under GC
+ * pressure, under fault injection, and on the full ICD kernel — and
+ * a snapshot taken under one must finish identically under the
+ * other. This suite is the only goto-vs-switch check: the oracle
+ * compares the µop interpreter against the word-walking machine
+ * (fuzz/oracle.hh). On builds without computed goto both flavours
+ * are the switch; the comparisons are then redundant but still run.
+ *
+ * The fast-functional tier abandons the cycle model, so it is held
+ * to outcome equality with the µop tier only: status, diagnostic,
+ * value, and the I/O log, under both of its dispatch flavours.
  */
+
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -25,6 +34,7 @@
 #include "machine/machine.hh"
 #include "machine/testhooks.hh"
 #include "machine/threaded.hh"
+#include "obs/trace.hh"
 #include "system/ports.hh"
 
 namespace zarf
@@ -71,18 +81,17 @@ tierConfig(DispatchTier tier, size_t semispaceWords = 1u << 20)
     return cfg;
 }
 
-/** Run both dispatch cores of the tier under test. On builds
- *  without computed goto both passes use the table core; that is
- *  redundant but still correct, and keeps the parameter space
- *  identical across platforms. */
-class TableForcer
+/** Select a dispatch flavour for the advance()/run() calls made
+ *  while this is in scope: the switch when `forceSwitch`, computed
+ *  goto (where the build has it) otherwise. */
+class SwitchForcer
 {
   public:
-    explicit TableForcer(bool forceTable)
+    explicit SwitchForcer(bool forceSwitch)
     {
-        testhooks::forceTableDispatch = forceTable;
+        testhooks::forceSwitchDispatch = forceSwitch;
     }
-    ~TableForcer() { testhooks::forceTableDispatch = false; }
+    ~SwitchForcer() { testhooks::forceSwitchDispatch = false; }
 };
 
 Image
@@ -139,41 +148,84 @@ class LogBus : public IoBus
     uint64_t ordinal = 0;
 };
 
+/** Require two trace recorders to hold identical event streams. */
 void
-runThreadedDifferential(uint64_t seed, size_t semispaceWords,
-                        bool forceTable)
+expectTracesEqual(const obs::Recorder &a, const obs::Recorder &b)
+{
+    EXPECT_EQ(a.emitted(), b.emitted());
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        const obs::Event &x = a.at(i);
+        const obs::Event &y = b.at(i);
+        ASSERT_TRUE(x.kind == y.kind && x.ts == y.ts && x.a == y.a &&
+                    x.b == y.b)
+            << "trace events differ at index " << i;
+    }
+}
+
+/**
+ * Run one random program under the goto and the switch flavour and
+ * require bit-identical machines. A plain pass runs each straight
+ * through, untraced. An `observed` pass drives each in small
+ * advance() slices — every slice boundary spills and reloads the
+ * interpreter's register-cached state — with tracing and the FSM
+ * tally on, and also compares the event streams and the tallies.
+ */
+void
+runFlavourDifferential(uint64_t seed, size_t semispaceWords,
+                       bool observed)
 {
     Image img = randomImage(seed);
 
-    LogBus busA;
-    Machine uop(img, busA, tierConfig(DispatchTier::Uop,
-                                      semispaceWords));
-    Machine::Outcome oa = uop.run();
-
-    TableForcer forcer(forceTable);
-    LogBus busB;
-    Machine thr(img, busB, tierConfig(DispatchTier::Threaded,
-                                      semispaceWords));
-    Machine::Outcome ob = thr.run();
-
-    ASSERT_EQ(oa.status, ob.status)
-        << "uop: " << oa.diagnostic
-        << "\nthreaded: " << ob.diagnostic;
-    EXPECT_EQ(oa.diagnostic, ob.diagnostic);
-    EXPECT_EQ(uop.cycles(), thr.cycles());
-    if (oa.status == MachineStatus::Done) {
-        ASSERT_TRUE(oa.value && ob.value);
-        EXPECT_TRUE(Value::equal(*oa.value, *ob.value))
-            << "uop:      " << oa.value->toString() << "\n"
-            << "threaded: " << ob.value->toString();
+    struct Run
+    {
+        LogBus bus;
+        obs::Recorder rec{ obs::TraceConfig{ 1u << 16, obs::kAllCats } };
+        std::optional<Machine> m;
+        Machine::Outcome out{ MachineStatus::Running, nullptr, "" };
+    };
+    Run runs[2];
+    for (int flavour = 0; flavour < 2; ++flavour) {
+        Run &r = runs[flavour];
+        SwitchForcer forcer(flavour == 1);
+        MachineConfig cfg = tierConfig(DispatchTier::Uop,
+                                       semispaceWords);
+        if (observed) {
+            cfg.trace = &r.rec;
+            cfg.fsmTally = true;
+        }
+        r.m.emplace(img, r.bus, cfg);
+        if (observed) {
+            while (r.m->advance(997) == MachineStatus::Running) {}
+        }
+        r.out = r.m->run();
     }
-    expectStatsEqual(uop.stats(), thr.stats());
-    EXPECT_EQ(busA.ops, busB.ops);
+    const Run &a = runs[0];
+    const Run &b = runs[1];
+
+    ASSERT_EQ(a.out.status, b.out.status)
+        << "goto: " << a.out.diagnostic
+        << "\nswitch: " << b.out.diagnostic;
+    EXPECT_EQ(a.out.diagnostic, b.out.diagnostic);
+    EXPECT_EQ(a.m->cycles(), b.m->cycles());
+    if (a.out.status == MachineStatus::Done) {
+        ASSERT_TRUE(a.out.value && b.out.value);
+        EXPECT_TRUE(Value::equal(*a.out.value, *b.out.value))
+            << "goto:   " << a.out.value->toString() << "\n"
+            << "switch: " << b.out.value->toString();
+    }
+    expectStatsEqual(a.m->stats(), b.m->stats());
+    EXPECT_EQ(a.bus.ops, b.bus.ops);
+    if (observed) {
+        expectTracesEqual(a.rec, b.rec);
+        EXPECT_EQ(a.m->fsmTally().visits, b.m->fsmTally().visits);
+        EXPECT_EQ(a.m->fsmTally().cycles, b.m->fsmTally().cycles);
+    }
 }
 
 void
 runFastDifferential(uint64_t seed, size_t semispaceWords,
-                    bool forceTable)
+                    bool forceSwitch)
 {
     Image img = randomImage(seed);
 
@@ -182,7 +234,7 @@ runFastDifferential(uint64_t seed, size_t semispaceWords,
                                       semispaceWords));
     Machine::Outcome oa = uop.run();
 
-    TableForcer forcer(forceTable);
+    SwitchForcer forcer(forceSwitch);
     LogBus busB;
     Machine fast(img, busB, tierConfig(DispatchTier::FastFunctional,
                                        semispaceWords));
@@ -208,7 +260,8 @@ runFastDifferential(uint64_t seed, size_t semispaceWords,
     EXPECT_EQ(busA.ops, busB.ops);
 }
 
-// seed, forceTable
+// seed, observed (ThreadedDifferential, ThreadedGcDifferential) or
+// forceSwitch (FastDifferential, FastGcDifferential)
 using TierParam = std::tuple<uint64_t, bool>;
 
 class ThreadedDifferential
@@ -217,8 +270,8 @@ class ThreadedDifferential
 
 TEST_P(ThreadedDifferential, BitIdenticalOnRandomPrograms)
 {
-    auto [seed, forceTable] = GetParam();
-    runThreadedDifferential(seed, 1u << 20, forceTable);
+    auto [seed, observed] = GetParam();
+    runFlavourDifferential(seed, 1u << 20, observed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -233,11 +286,11 @@ class ThreadedGcDifferential
 TEST_P(ThreadedGcDifferential, BitIdenticalUnderGcPressure)
 {
     // A heap barely above the safe-point margin forces frequent
-    // collections; the threaded tier's register-cached state must
+    // collections; the interpreter's register-cached state must
     // spill and reload around every GC so roots, copy order, and
-    // pause accounting match the µop tier exactly.
-    auto [seed, forceTable] = GetParam();
-    runThreadedDifferential(seed, 3 * 4096, forceTable);
+    // pause accounting match across the flavours exactly.
+    auto [seed, observed] = GetParam();
+    runFlavourDifferential(seed, 3 * 4096, observed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -250,8 +303,8 @@ class FastDifferential : public ::testing::TestWithParam<TierParam>
 
 TEST_P(FastDifferential, OutcomeEqualOnRandomPrograms)
 {
-    auto [seed, forceTable] = GetParam();
-    runFastDifferential(seed, 1u << 20, forceTable);
+    auto [seed, forceSwitch] = GetParam();
+    runFastDifferential(seed, 1u << 20, forceSwitch);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -264,8 +317,8 @@ class FastGcDifferential : public ::testing::TestWithParam<TierParam>
 
 TEST_P(FastGcDifferential, OutcomeEqualUnderGcPressure)
 {
-    auto [seed, forceTable] = GetParam();
-    runFastDifferential(seed, 3 * 4096, forceTable);
+    auto [seed, forceSwitch] = GetParam();
+    runFastDifferential(seed, 3 * 4096, forceSwitch);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -274,86 +327,98 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()));
 
 // ----------------------------------------------------------------
-// Fault injection: the tiers must agree bit-for-bit on what a
+// Fault injection: the flavours must agree bit-for-bit on what a
 // physical upset does, including the detection diagnostics.
 // ----------------------------------------------------------------
+
+/** Run `drive` on a goto-flavour and a switch-flavour machine over
+ *  `img` and require identical status, diagnostic, cycles, and
+ *  statistics. */
+template <typename Drive>
+void
+expectFlavoursAgree(const Image &img, Drive drive)
+{
+    NullBus busA, busB;
+    Machine gotoM(img, busA, tierConfig(DispatchTier::Uop));
+    Machine switchM(img, busB, tierConfig(DispatchTier::Uop));
+    {
+        SwitchForcer forcer(false);
+        drive(gotoM);
+    }
+    {
+        SwitchForcer forcer(true);
+        drive(switchM);
+    }
+    EXPECT_EQ(gotoM.status(), switchM.status());
+    EXPECT_EQ(gotoM.diagnostic(), switchM.diagnostic());
+    EXPECT_EQ(gotoM.cycles(), switchM.cycles());
+    expectStatsEqual(gotoM.stats(), switchM.stats());
+}
 
 TEST(ThreadedFault, HeapBitFlipBitIdentical)
 {
     for (uint64_t seed : { 3u, 11u, 27u, 44u }) {
-        Image img = randomImage(seed);
-        NullBus busA, busB;
-        Machine uop(img, busA, tierConfig(DispatchTier::Uop));
-        Machine thr(img, busB, tierConfig(DispatchTier::Threaded));
-
         // Identical schedule on both machines: run a prefix, flip
         // the same heap bit, then run out.
-        for (Machine *m : { &uop, &thr }) {
-            m->advance(2000);
-            m->injectHeapBitFlip(size_t(seed * 13 + 5),
-                                 unsigned(seed % 31));
-            m->run();
-        }
-        EXPECT_EQ(uop.status(), thr.status());
-        EXPECT_EQ(uop.diagnostic(), thr.diagnostic());
-        EXPECT_EQ(uop.cycles(), thr.cycles());
-        expectStatsEqual(uop.stats(), thr.stats());
+        expectFlavoursAgree(randomImage(seed), [&](Machine &m) {
+            m.advance(2000);
+            m.injectHeapBitFlip(size_t(seed * 13 + 5),
+                                unsigned(seed % 31));
+            m.run();
+        });
     }
 }
 
 TEST(ThreadedFault, OperandBitFlipBitIdentical)
 {
     for (uint64_t seed : { 7u, 19u, 52u }) {
-        Image img = randomImage(seed);
-        NullBus busA, busB;
-        Machine uop(img, busA, tierConfig(DispatchTier::Uop));
-        Machine thr(img, busB, tierConfig(DispatchTier::Threaded));
-        for (Machine *m : { &uop, &thr }) {
-            m->advance(1500);
-            m->injectOperandBitFlip(unsigned(seed % 32));
-            m->run();
-        }
-        EXPECT_EQ(uop.status(), thr.status());
-        EXPECT_EQ(uop.diagnostic(), thr.diagnostic());
-        EXPECT_EQ(uop.cycles(), thr.cycles());
-        expectStatsEqual(uop.stats(), thr.stats());
+        expectFlavoursAgree(randomImage(seed), [&](Machine &m) {
+            m.advance(1500);
+            m.injectOperandBitFlip(unsigned(seed % 32));
+            m.run();
+        });
     }
 }
 
 // ----------------------------------------------------------------
-// Snapshot/restore: µop and threaded snapshots are interchangeable;
-// the fast tier round-trips within its own family.
+// Snapshot/restore: a snapshot taken under one flavour finishes
+// identically under the other; the fast tier round-trips within its
+// own tier, and a snapshot never crosses tiers.
 // ----------------------------------------------------------------
 
 TEST(ThreadedSnapshot, CrossTierRestoreBitIdentical)
 {
     Image img = randomImage(23);
     NullBus busA;
-    Machine uop(img, busA, tierConfig(DispatchTier::Uop));
-    Machine::Outcome straight = uop.run();
+    Machine straight(img, busA, tierConfig(DispatchTier::Uop));
+    Machine::Outcome whole = straight.run();
 
-    // µop snapshot mid-run -> threaded machine finishes it, and the
-    // other direction, both landing exactly where the straight µop
-    // run landed.
-    for (DispatchTier src : { DispatchTier::Uop,
-                              DispatchTier::Threaded }) {
-        DispatchTier dst = src == DispatchTier::Uop
-                               ? DispatchTier::Threaded
-                               : DispatchTier::Uop;
+    // Snapshot mid-run under one flavour, finish under the other,
+    // in both directions, landing exactly where the straight run
+    // landed.
+    for (bool srcSwitch : { false, true }) {
         NullBus busS, busD;
-        Machine source(img, busS, tierConfig(src));
-        source.advance(uop.cycles() / 2);
-        auto snap = source.snapshot();
-        Machine fork(img, busD, tierConfig(dst));
-        fork.restore(*snap);
-        Machine::Outcome out = fork.run();
-        EXPECT_EQ(out.status, straight.status);
-        EXPECT_EQ(fork.cycles(), uop.cycles());
-        if (straight.status == MachineStatus::Done) {
-            ASSERT_TRUE(out.value && straight.value);
-            EXPECT_TRUE(Value::equal(*out.value, *straight.value));
+        Machine source(img, busS, tierConfig(DispatchTier::Uop));
+        std::shared_ptr<const MachineSnapshot> snap;
+        {
+            SwitchForcer forcer(srcSwitch);
+            source.advance(straight.cycles() / 2);
+            snap = source.snapshot();
         }
-        expectStatsEqual(fork.stats(), uop.stats());
+        Machine fork(img, busD, tierConfig(DispatchTier::Uop));
+        fork.restore(*snap);
+        Machine::Outcome out;
+        {
+            SwitchForcer forcer(!srcSwitch);
+            out = fork.run();
+        }
+        EXPECT_EQ(out.status, whole.status);
+        EXPECT_EQ(fork.cycles(), straight.cycles());
+        if (whole.status == MachineStatus::Done) {
+            ASSERT_TRUE(out.value && whole.value);
+            EXPECT_TRUE(Value::equal(*out.value, *whole.value));
+        }
+        expectStatsEqual(fork.stats(), straight.stats());
     }
 }
 
@@ -387,8 +452,8 @@ TEST(ThreadedSnapshotDeathTest, CrossFamilyRestoreIsFatal)
     Machine fast(img, busA, tierConfig(DispatchTier::FastFunctional));
     fast.advance(1000);
     auto snap = fast.snapshot();
-    Machine thr(img, busB, tierConfig(DispatchTier::Threaded));
-    EXPECT_DEATH(thr.restore(*snap), "dispatch tier mismatch");
+    Machine uop(img, busB, tierConfig(DispatchTier::Uop));
+    EXPECT_DEATH(uop.restore(*snap), "dispatch tier mismatch");
 }
 
 // ----------------------------------------------------------------
@@ -431,17 +496,20 @@ TEST(ThreadedIcd, KernelTraceBitIdentical)
                               42);
     BusyRig rigA(heartA), rigB(heartB);
     Image img = icd::buildKernelImage();
-    Machine uop(img, rigA, tierConfig(DispatchTier::Uop));
-    Machine thr(img, rigB, tierConfig(DispatchTier::Threaded));
+    Machine gotoM(img, rigA, tierConfig(DispatchTier::Uop));
+    Machine switchM(img, rigB, tierConfig(DispatchTier::Uop));
 
-    while (uop.cycles() < 3'000'000 &&
-           uop.advance(500'000) == MachineStatus::Running) {}
-    while (thr.cycles() < 3'000'000 &&
-           thr.advance(500'000) == MachineStatus::Running) {}
+    while (gotoM.cycles() < 3'000'000 &&
+           gotoM.advance(500'000) == MachineStatus::Running) {}
+    {
+        SwitchForcer forcer(true);
+        while (switchM.cycles() < 3'000'000 &&
+               switchM.advance(500'000) == MachineStatus::Running) {}
+    }
 
-    EXPECT_EQ(uop.cycles(), thr.cycles());
+    EXPECT_EQ(gotoM.cycles(), switchM.cycles());
     EXPECT_EQ(rigA.writes, rigB.writes);
-    expectStatsEqual(uop.stats(), thr.stats());
+    expectStatsEqual(gotoM.stats(), switchM.stats());
 }
 
 TEST(ThreadedIcd, KernelOutputFastMatches)
@@ -469,23 +537,25 @@ TEST(ThreadedIcd, KernelOutputFastMatches)
 }
 
 // ----------------------------------------------------------------
-// Campaign tier invariance: verdicts (and the JSON they render to)
-// must not depend on the dispatch tier.
+// Campaign flavour invariance: verdicts (and the JSON they render
+// to) must not depend on the dispatch flavour.
 // ----------------------------------------------------------------
 
 TEST(ThreadedCampaign, VerdictsTierInvariant)
 {
-    fault::CampaignConfig base;
-    base.scenarios = 44; // one full pass over the scenario space
-    base.threads = 2;
-    base.sinusSeconds = 0.35;
-    base.vtSeconds = 0.35;
+    fault::CampaignConfig cfg;
+    cfg.scenarios = 44; // one full pass over the scenario space
+    cfg.threads = 2;
+    cfg.sinusSeconds = 0.35;
+    cfg.vtSeconds = 0.35;
 
-    fault::CampaignConfig threaded = base;
-    threaded.lambdaTier = DispatchTier::Threaded;
-
-    fault::CampaignReport a = fault::runCampaign(base);
-    fault::CampaignReport b = fault::runCampaign(threaded);
+    fault::CampaignReport a = fault::runCampaign(cfg);
+    // The hook is a plain global read by the pool's workers: set it
+    // before the campaign fans out and clear it after the pool has
+    // drained (runCampaign joins before returning).
+    testhooks::forceSwitchDispatch = true;
+    fault::CampaignReport b = fault::runCampaign(cfg);
+    testhooks::forceSwitchDispatch = false;
     EXPECT_EQ(a.toJson(), b.toJson());
 }
 

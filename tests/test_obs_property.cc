@@ -60,7 +60,7 @@ struct TracedRun
         : rec(obs::TraceConfig{ capacity, mask })
     {
         MachineConfig cfg;
-        cfg.usePredecode = predecode;
+        cfg.tier = predecode ? DispatchTier::Uop : DispatchTier::WordWalk;
         cfg.semispaceWords = semispaceWords;
         cfg.trace = &rec;
         cfg.fsmTally = true;

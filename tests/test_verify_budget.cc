@@ -19,6 +19,7 @@
 #include "common/testprogs.hh"
 #include "fuzz/genprog.hh"
 #include "machine/machine.hh"
+#include "machine/testhooks.hh"
 #include "verify/budget.hh"
 #include "verify/journal.hh"
 #include "verify/quarantine.hh"
@@ -164,7 +165,6 @@ tierConfig(DispatchTier tier, Budget *budget,
 constexpr DispatchTier kCycleAccurate[] = {
     DispatchTier::WordWalk,
     DispatchTier::Uop,
-    DispatchTier::Threaded,
 };
 
 /** The canonical long-running programs (tests/common/testprogs.hh).
@@ -410,23 +410,25 @@ TEST(MachineBudget, CancelBeforeRestoredRunAbortsWithoutProgress)
 
 TEST(MachineBudget, CancelInThreadedBatchedWindowStopsAtSyncPoint)
 {
-    // Satellite (c), the threaded tier's batched cycle-charge
-    // window: a pre-raised cancel aborts before the first chunk, so
-    // the machine clock never moves past the construction-time
-    // load+boot point and the verdict matches every other tier's.
+    // The µop interpreter's batched cycle-charge window, under
+    // both dispatch flavours: a pre-raised cancel aborts before the
+    // first chunk, so the machine clock never moves past the
+    // construction-time load+boot point.
     Image img = budgetTestImage(9);
-    for (DispatchTier tier :
-         { DispatchTier::Uop, DispatchTier::Threaded }) {
+    for (bool forceSwitch : { false, true }) {
         Budget bud;
         bud.cancel();
         NullBus bus;
-        Machine m(img, bus, tierConfig(tier, &bud));
+        Machine m(img, bus, tierConfig(DispatchTier::Uop, &bud));
         Cycles atBirth = m.cycles();
-        EXPECT_EQ(m.advance(1'000'000'000ull),
-                  MachineStatus::BudgetExceeded)
-            << dispatchTierName(tier);
+        testhooks::forceSwitchDispatch = forceSwitch;
+        MachineStatus st = m.advance(1'000'000'000ull);
+        testhooks::forceSwitchDispatch = false;
+        EXPECT_EQ(st, MachineStatus::BudgetExceeded)
+            << "switch flavour: " << forceSwitch;
         EXPECT_EQ(bud.tripped(), BudgetTrip::Cancelled);
-        EXPECT_EQ(m.cycles(), atBirth) << dispatchTierName(tier);
+        EXPECT_EQ(m.cycles(), atBirth)
+            << "switch flavour: " << forceSwitch;
         EXPECT_NE(m.diagnostic().find("cancelled"),
                   std::string::npos);
     }
