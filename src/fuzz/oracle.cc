@@ -161,19 +161,21 @@ runOracle(const Image &image, const OracleConfig &cfg)
     Machine ref(image, refBus, rc);
     Machine::Outcome refOut = ref.run(cfg.maxCycles);
 
-    // The fast-functional tier runs even on images the oracle later
-    // classifies Rejected: like the two machines above, the
-    // assertion there is "no crash, no UB" under the sanitizer
-    // presets. Its comparison happens after the rejection gates.
+    // The fast-functional tier, when compared, runs even on images
+    // the oracle later classifies Rejected: like the two machines
+    // above, the assertion there is "no crash, no UB" under the
+    // sanitizer presets. Its comparison happens after the rejection
+    // gates.
     RecordBus fastBus;
-    MachineConfig fc = mc;
-    fc.tier = DispatchTier::FastFunctional;
-    fc.trace = nullptr;
-    fc.fsmTally = false;
-    Machine fast(image, fastBus, fc);
     Machine::Outcome fastOut{ MachineStatus::Running, nullptr, "" };
-    if (cfg.compareFast)
+    if (cfg.compareFast) {
+        MachineConfig fc = mc;
+        fc.tier = DispatchTier::FastFunctional;
+        fc.trace = nullptr;
+        fc.fsmTally = false;
+        Machine fast(image, fastBus, fc);
         fastOut = fast.run(cfg.maxCycles);
+    }
 
     // Budget trip anywhere above => Skip before any comparison: a
     // latched token stops the *other* machines at cycle 0, and a

@@ -4,9 +4,10 @@
  * translation units that define its execution tiers.
  *
  * This header holds the shared machinery and the word-walking
- * reference path; threaded.cc defines the µop interpreter and the
- * fast-functional core, which are further member functions of the
- * same Impl over the same architectural state. This header is
+ * reference path; threaded.cc defines the µop interpreter, a
+ * further member function template of the same Impl over the same
+ * architectural state, instantiated for the cycle-accurate and the
+ * fast-functional accounting policy. This header is
  * internal to src/machine — nothing outside the library may include
  * it; the public surface is machine/machine.hh.
  */
@@ -52,7 +53,8 @@ namespace zarf
  *    the seed semantics *and* so the throughput benchmark measures
  *    the real cost delta.
  *
- *  - The fast-functional tier, also in machine/threaded.cc.
+ *  - The fast-functional tier: the same interpreter instantiated
+ *    with the cycle accounting compiled out (Accounting::Fast).
  *
  * Both cycle-accurate tiers share load(), the heap, the timing
  * model, and the cycle/statistics accounting, and are bit-identical
@@ -122,14 +124,14 @@ class Machine::Impl
     {
         switch (tier) {
           case DispatchTier::Uop:
-            advanceUop(target);
+            advanceUop<Accounting::CycleAccurate>(target);
             break;
           case DispatchTier::WordWalk:
             while (status == MachineStatus::Running && total < target)
                 stepOnceRef();
             break;
           case DispatchTier::FastFunctional:
-            advanceFast(target);
+            advanceUop<Accounting::Fast>(target);
             break;
         }
     }
@@ -568,6 +570,17 @@ class Machine::Impl
                                         mhdr::fnOf(h), mhdr::padOf(h)));
     }
 
+    /** Latch HeapCorrupt on entering a thunk whose header names no
+     *  declared identifier — only a corrupted header builds one. */
+    void
+    corruptThunk()
+    {
+        noteStatus(MachineStatus::HeapCorrupt);
+        status = MachineStatus::HeapCorrupt;
+        if (diagnostic.empty())
+            diagnostic = "thunk header names an undeclared identifier";
+    }
+
     /** Step-top health gate: latch HeapCorrupt/OutOfMemory into the
      *  machine status. Corruption wins — an aborted collection can
      *  leave both conditions set, and the corruption is the cause. */
@@ -644,6 +657,13 @@ class Machine::Impl
         return id < idInfo.size() && idInfo[id].isCons;
     }
 
+    /** Does the identifier name a primitive or a declaration? */
+    bool
+    idExists(Word id) const
+    {
+        return id < idInfo.size() && idInfo[id].exists;
+    }
+
     /** Is this object, as it stands, a WHNF value? */
     bool
     objIsWhnfU(Word h) const
@@ -660,25 +680,37 @@ class Machine::Impl
      *  deep-force export is in progress. */
     static constexpr size_t kNoExport = ~size_t(0);
 
-    /**
-     * The µop interpreter (machine/threaded.cc) — the one
-     * cycle-accurate implementation of the predecoded semantics.
-     * Runs until the status changes or the first step boundary with
-     * total >= target. One handler body serves both dispatch
-     * flavours: computed goto when the build has it
-     * (ZARF_HAVE_COMPUTED_GOTO) and testhooks::forceSwitchDispatch
-     * is clear, a switch otherwise.
-     *
-     * `exportBase` serves the deep-force export: when it is a frame
-     * depth, delivering a value with exactly that many frames on
-     * the stack ends the run as Done before the next step's
-     * preamble, without a MachDone event — the export loop's exit.
-     */
-    void advanceUop(Cycles target, size_t exportBase = kNoExport);
+    /** The µop interpreter's compile-time accounting policy. */
+    enum class Accounting
+    {
+        /** Every charge, class bucket, trace event and tally visit
+         *  of the cycle model (DispatchTier::Uop, deep-force
+         *  export). */
+        CycleAccurate,
+        /** None of them: cycles() counts fused steps, and the
+         *  outcome-preserving fusions of docs/PERF.md apply
+         *  (DispatchTier::FastFunctional). */
+        Fast,
+    };
 
-    /** The fast-functional core (machine/threaded.cc): outcome and
-     *  IO only. */
-    void advanceFast(Cycles target);
+    /**
+     * The µop interpreter (machine/threaded.cc). Instantiated once
+     * per accounting policy from one set of handler bodies; the
+     * CycleAccurate instance is the one cycle-accurate
+     * implementation of the predecoded semantics. Runs until the
+     * status changes or the first step boundary with total >=
+     * target. Each instance serves both dispatch flavours: computed
+     * goto when the build has it (ZARF_HAVE_COMPUTED_GOTO) and
+     * testhooks::forceSwitchDispatch is clear, a switch otherwise.
+     *
+     * `exportBase` serves the deep-force export (CycleAccurate
+     * only): when it is a frame depth, delivering a value with
+     * exactly that many frames on the stack ends the run as Done
+     * before the next step's preamble, without a MachDone event —
+     * the export loop's exit.
+     */
+    template <Accounting A>
+    void advanceUop(Cycles target, size_t exportBase = kNoExport);
 
     Heap::RootProvider
     rootProviderU()
@@ -721,9 +753,10 @@ class Machine::Impl
 
     // ============================================================
     // Reference path: the original word-walking machine, unchanged
-    // except for the poisoned-operand fix in resolveOperand. Do not
-    // optimize this code — it is the baseline the differential
-    // suite and the throughput benchmark compare against.
+    // except for the poisoned-operand fix in resolveOperand and the
+    // undeclared-identifier check at thunk entry. Do not optimize
+    // this code — it is the baseline the differential suite and the
+    // throughput benchmark compare against.
     // ============================================================
 
     Word
@@ -871,6 +904,11 @@ class Machine::Impl
             mode = Mode::Deliver;
             return;
         }
+        Word fn = mhdr::fnOf(h);
+        if (kind != ObjKind::AppV && !idExistsRef(fn)) {
+            corruptThunk();
+            return;
+        }
 
         while (!contsV.empty() &&
                contsV.back().kind == Frame::Kind::Update) {
@@ -894,7 +932,6 @@ class Machine::Impl
         ++machineStats.forces;
 
         Word count = mhdr::argsOf(h);
-        Word fn = mhdr::fnOf(h);
         if (traceExec)
             emitT(obs::EventKind::EvalEnter,
                   static_cast<int64_t>(fn),
@@ -1452,7 +1489,8 @@ class Machine::Impl
         mode = Mode::EvalVal;
         status = MachineStatus::Running;
         if (tierUsesPredecode(tier)) {
-            advanceUop(~Cycles(0), conts.size());
+            advanceUop<Accounting::CycleAccurate>(~Cycles(0),
+                                                  conts.size());
             return status == MachineStatus::Done;
         }
         size_t base = contsV.size();

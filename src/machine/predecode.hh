@@ -85,9 +85,9 @@ enum class UCallee : uint8_t
 /**
  * Direct-threaded dispatch tokens (machine/threaded.hh). Each
  * executable µop's handler is resolved once, at predecode time, into
- * one of these codes; the µop and fast-functional cores dispatch on
- * the token instead of re-branching on kind/calleeKind/calleeClass/
- * arity every execution. Token threading (an index into a
+ * one of these codes; the µop interpreter dispatches on the token
+ * instead of re-branching on kind/calleeKind/calleeClass/arity
+ * every execution. Token threading (an index into a
  * per-translation-unit label table, or a switch case) rather than
  * raw label addresses keeps the Predecoded artifact shareable across
  * machines and processes.

@@ -32,8 +32,8 @@ namespace zarf::testhooks
 extern bool poisonedOperandDefect;
 
 /**
- * Forces the µop interpreter and the fast-functional core to
- * dispatch through their switch flavour even when the build supports
+ * Forces the µop interpreter (under both accounting policies) to
+ * dispatch through its switch flavour even when the build supports
  * computed goto, so the portable flavour — the production path on
  * compilers without the extension — is exercised by
  * `ctest -L threaded` on every platform. Read once per advance()

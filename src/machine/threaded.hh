@@ -1,6 +1,6 @@
 /**
  * @file
- * The direct-threaded dispatch cores of the λ-machine.
+ * The direct-threaded µop interpreter of the λ-machine.
  *
  * Predecoding (machine/predecode.hh) decodes each image word once and
  * resolves each µop's whole handler decision tree (kind, callee kind,
@@ -13,9 +13,11 @@
  * cycle counter, the instruction-class cycle bucket) lives in locals
  * across handlers instead of being reloaded from the Impl per step.
  *
- * Two cores share this machinery (DispatchTier in machine.hh):
+ * One set of handler bodies serves two dispatch tiers (DispatchTier
+ * in machine.hh), instantiated from a member function template over
+ * a compile-time accounting policy:
  *
- *  - The µop interpreter (DispatchTier::Uop, the default): the one
+ *  - Cycle-accurate (DispatchTier::Uop, the default): the one
  *    cycle-accurate implementation of the predecoded semantics. It
  *    also runs the deep-force export of every µop-walking tier. The
  *    oracle holds it to full-ledger bit-equality with the
@@ -23,19 +25,19 @@
  *    tests/test_machine_threaded.cc holds its two dispatch flavours
  *    bit-identical to each other.
  *
- *  - FastFunctional: the cycle/FSM accounting and trace hooks are
- *    compiled out and outcome-preserving superinstruction fusion is
- *    applied (case-of-value skips the continuation frame; all-int
- *    primitive application skips the operand-forcing round trips).
- *    Only the outcome — status, IO stream, exported value — is
- *    meaningful; cycles() counts fused steps. For campaign and fuzz
- *    throughput only, never for timing (docs/PERF.md).
+ *  - Fast (DispatchTier::FastFunctional): the same handlers with the
+ *    cycle/FSM accounting and trace hooks compiled out and
+ *    outcome-preserving superinstruction fusion applied (tail calls,
+ *    eager ALU, case-of-value, ...). Only the outcome — status, IO
+ *    stream, exported value — is meaningful; cycles() counts fused
+ *    steps. For campaign and fuzz throughput only, never for timing
+ *    (docs/PERF.md).
  *
  * Everything here is internal to src/machine: the tiers are selected
- * through MachineConfig::tier and implemented as further member
- * functions of Machine::Impl (machine/machine_impl.hh) in
- * threaded.cc. This header exists for the documentation above and
- * compile-time dispatch-capability reporting.
+ * through MachineConfig::tier and implemented by
+ * Machine::Impl::advanceUop (machine/machine_impl.hh) in threaded.cc.
+ * This header exists for the documentation above and compile-time
+ * dispatch-capability reporting.
  */
 
 #ifndef ZARF_MACHINE_THREADED_HH
@@ -44,10 +46,11 @@
 namespace zarf
 {
 
-/** True when the µop and fast-functional cores dispatch by computed
- *  goto in this build (testhooks::forceSwitchDispatch can still
- *  select the switch flavour at runtime); false when only the switch
- *  flavour is compiled in. */
+/** True when the µop interpreter (both accounting policies)
+ *  dispatches by computed goto in this build
+ *  (testhooks::forceSwitchDispatch can still select the switch
+ *  flavour at runtime); false when only the switch flavour is
+ *  compiled in. */
 bool threadedDispatchUsesComputedGoto();
 
 } // namespace zarf

@@ -18,13 +18,17 @@
  *
  * The fast-functional tier abandons the cycle model, so it is held
  * to outcome equality with the µop tier only: status, diagnostic,
- * value, and the I/O log, under both of its dispatch flavours.
+ * value, and the I/O log. Its two dispatch flavours are held
+ * bit-identical to each other (step count, statistics, value, I/O),
+ * and its accounting contract — no per-µop trace event, tally
+ * visit, or class cycle — is checked directly.
  */
 
 #include <optional>
 
 #include <gtest/gtest.h>
 
+#include "common/testprogs.hh"
 #include "ecg/synth.hh"
 #include "fault/campaign.hh"
 #include "fuzz/genprog.hh"
@@ -36,6 +40,7 @@
 #include "machine/threaded.hh"
 #include "obs/trace.hh"
 #include "system/ports.hh"
+#include "zasm/zasm.hh"
 
 namespace zarf
 {
@@ -223,6 +228,12 @@ runFlavourDifferential(uint64_t seed, size_t semispaceWords,
     }
 }
 
+/**
+ * Run one random program on the µop tier and on the fast tier under
+ * both dispatch flavours. The fast flavours must be bit-identical
+ * (step count, every statistic, value, I/O); the `forceSwitch`
+ * flavour must match the µop tier's outcome.
+ */
 void
 runFastDifferential(uint64_t seed, size_t semispaceWords,
                     bool forceSwitch)
@@ -234,11 +245,37 @@ runFastDifferential(uint64_t seed, size_t semispaceWords,
                                       semispaceWords));
     Machine::Outcome oa = uop.run();
 
-    SwitchForcer forcer(forceSwitch);
-    LogBus busB;
-    Machine fast(img, busB, tierConfig(DispatchTier::FastFunctional,
-                                       semispaceWords));
-    Machine::Outcome ob = fast.run();
+    struct FastRun
+    {
+        LogBus bus;
+        std::optional<Machine> m;
+        Machine::Outcome out{ MachineStatus::Running, nullptr, "" };
+    };
+    FastRun fastRuns[2];
+    for (int flavour = 0; flavour < 2; ++flavour) {
+        FastRun &r = fastRuns[flavour];
+        SwitchForcer forcer(flavour == 1);
+        r.m.emplace(img, r.bus,
+                    tierConfig(DispatchTier::FastFunctional,
+                               semispaceWords));
+        r.out = r.m->run();
+    }
+    const FastRun &fg = fastRuns[0];
+    const FastRun &fs = fastRuns[1];
+    ASSERT_EQ(fg.out.status, fs.out.status)
+        << "fast goto: " << fg.out.diagnostic
+        << "\nfast switch: " << fs.out.diagnostic;
+    EXPECT_EQ(fg.out.diagnostic, fs.out.diagnostic);
+    EXPECT_EQ(fg.m->cycles(), fs.m->cycles());
+    if (fg.out.status == MachineStatus::Done) {
+        ASSERT_TRUE(fg.out.value && fs.out.value);
+        EXPECT_TRUE(Value::equal(*fg.out.value, *fs.out.value));
+    }
+    expectStatsEqual(fg.m->stats(), fs.m->stats());
+    EXPECT_EQ(fg.bus.ops, fs.bus.ops);
+
+    const Machine::Outcome &ob = fastRuns[forceSwitch ? 1 : 0].out;
+    const LogBus &busB = fastRuns[forceSwitch ? 1 : 0].bus;
 
     // Outcome equality applies when both runs terminated; resource
     // bounds fire at different points on a tier with no cycle clock
@@ -369,6 +406,50 @@ TEST(ThreadedFault, HeapBitFlipBitIdentical)
     }
 }
 
+TEST(ThreadedFault, UndeclaredThunkIdLatchesHeapCorrupt)
+{
+    // Right after boot the heap holds exactly the entry thunk: word 0
+    // is its header, App with fn = the entry's identifier (0x100).
+    // Flip that fn to an undeclared identifier, once above the
+    // primitive range and once inside it where no primitive lives,
+    // and enter the thunk. Every tier must latch HeapCorrupt at the
+    // thunk entry instead of indexing its function tables with the
+    // wild identifier; the cycle-accurate tiers agree on the ledger.
+    const Image img = encodeProgram(assembleOrDie(R"(
+fun main =
+  let x = add 2 3
+  result x
+)"));
+    const std::vector<std::vector<unsigned>> flips = {
+        { 14 },   // fn 0x4100: above every declaration
+        { 8, 6 }, // fn 0x040: in the primitive range, no primitive
+    };
+    NullBus bus; // stateless; outlives every machine below
+    for (const std::vector<unsigned> &bits : flips) {
+        auto drive = [&](DispatchTier tier, bool forceSwitch) {
+            auto m = std::make_unique<Machine>(img, bus,
+                                               tierConfig(tier));
+            SwitchForcer forcer(forceSwitch);
+            for (unsigned bit : bits)
+                EXPECT_TRUE(m->injectHeapBitFlip(0, bit));
+            EXPECT_EQ(m->run().status, MachineStatus::HeapCorrupt)
+                << dispatchTierName(tier) << " switch=" << forceSwitch
+                << ": " << m->diagnostic();
+            return m;
+        };
+        auto ref = drive(DispatchTier::WordWalk, false);
+        EXPECT_EQ(ref->diagnostic(),
+                  "thunk header names an undeclared identifier");
+        for (bool forceSwitch : { false, true }) {
+            auto uop = drive(DispatchTier::Uop, forceSwitch);
+            EXPECT_EQ(uop->diagnostic(), ref->diagnostic());
+            EXPECT_EQ(uop->cycles(), ref->cycles());
+            expectStatsEqual(uop->stats(), ref->stats());
+            drive(DispatchTier::FastFunctional, forceSwitch);
+        }
+    }
+}
+
 TEST(ThreadedFault, OperandBitFlipBitIdentical)
 {
     for (uint64_t seed : { 7u, 19u, 52u }) {
@@ -419,6 +500,63 @@ TEST(ThreadedSnapshot, CrossTierRestoreBitIdentical)
             EXPECT_TRUE(Value::equal(*out.value, *whole.value));
         }
         expectStatsEqual(fork.stats(), straight.stats());
+    }
+}
+
+// ----------------------------------------------------------------
+// The fast tier's accounting contract (docs/PERF.md): with tracing
+// and the FSM tally on, execution emits no per-µop event, visits no
+// apply/eval state, and leaves the class cycle fields and the
+// execution cycle ledger where construction left them.
+// ----------------------------------------------------------------
+
+TEST(ThreadedFastAccounting, NoPerUopHooksOrCycleLedger)
+{
+    std::vector<Image> images = {
+        encodeProgram(assembleOrDie(testing::countdownProgramText())),
+    };
+    for (uint64_t seed : { 2u, 9u, 33u, 71u })
+        images.push_back(randomImage(seed));
+    for (const Image &img : images) {
+        for (bool forceSwitch : { false, true }) {
+            LogBus bus;
+            obs::Recorder rec{ obs::TraceConfig{ 1u << 16,
+                                                 obs::kAllCats } };
+            MachineConfig cfg = tierConfig(DispatchTier::FastFunctional);
+            cfg.trace = &rec;
+            cfg.fsmTally = true;
+            Machine m(img, bus, cfg);
+            const FsmTally boot = m.fsmTally();
+            const Cycles bootExec = m.stats().execCycles;
+            SwitchForcer forcer(forceSwitch);
+            // advance(), not run(): run() exports the value through
+            // the cycle-accurate interpreter.
+            while (m.advance(997) == MachineStatus::Running) {}
+            EXPECT_GT(m.stats().dynamicInstructions(), 0u);
+
+            size_t perUopEvents = 0;
+            for (size_t i = 0; i < rec.size(); ++i) {
+                obs::EventKind k = rec.at(i).kind;
+                perUopEvents += k == obs::EventKind::ExecLet ||
+                                k == obs::EventKind::ExecCase ||
+                                k == obs::EventKind::ExecResult ||
+                                k == obs::EventKind::EvalEnter ||
+                                k == obs::EventKind::PrimOp;
+            }
+            EXPECT_EQ(perUopEvents, 0u);
+            for (unsigned s = static_cast<unsigned>(MState::ApFetchLet);
+                 s < static_cast<unsigned>(MState::GcIdle); ++s) {
+                EXPECT_EQ(m.fsmTally().visits[s], boot.visits[s])
+                    << "state " << s;
+                EXPECT_EQ(m.fsmTally().cycles[s], boot.cycles[s])
+                    << "state " << s;
+            }
+            const MachineStats &st = m.stats();
+            EXPECT_EQ(st.let.cycles, 0u);
+            EXPECT_EQ(st.caseInstr.cycles, 0u);
+            EXPECT_EQ(st.result.cycles, 0u);
+            EXPECT_EQ(st.execCycles, bootExec);
+        }
     }
 }
 
