@@ -6,8 +6,9 @@
  * that sizes nightly campaigns: candidates per wall-clock second
  * across the verify worker pool.
  *
- * The campaign is run once per oracle rotation rung so the cost of
- * the fast-functional comparison is visible as its own row:
+ * The campaign is run once per oracle rotation rung, after one
+ * untimed warm-up campaign, so the cost of the fast-functional
+ * comparison is visible as its own row:
  *
  *   cycle-tiers      word-walk + µop bit-comparison only
  *   +fast            ... plus the fast-functional outcome check
@@ -101,6 +102,16 @@ main(int argc, char **argv)
 
     printf("=== fuzz throughput: oracle rotation rungs%s ===\n\n",
            smoke ? " (smoke)" : "");
+
+    // One untimed campaign with the first rung's config, results
+    // discarded: it grows the worker pool and settles the allocator
+    // and caches, so the first timed rung does not run cold.
+    {
+        FuzzConfig wc = cfg;
+        wc.oracle.compareFast = rungs.front().fast;
+        (void)runFuzz(wc);
+    }
+
     for (Rung &r : rungs) {
         FuzzConfig rc = cfg;
         rc.oracle.compareFast = r.fast;

@@ -6,6 +6,7 @@
 #include "ir/eval.hh"
 #include "ir/lift.hh"
 #include "isa/validate.hh"
+#include "machine/loaded_image.hh"
 #include "sem/bigstep.hh"
 #include "sem/smallstep.hh"
 #include "verify/budget.hh"
@@ -129,6 +130,10 @@ runOracle(const Image &image, const OracleConfig &cfg)
 {
     OracleResult r;
 
+    // One load artifact (header parse, identifier metadata, µop
+    // streams) serves every machine below and the IR lift.
+    const std::shared_ptr<const LoadedImage> li = LoadedImage::load(image);
+
     // µop-path machine: the instrumented run coverage comes from.
     obs::Recorder uopTrace(
         { 1u << 14, static_cast<uint32_t>(obs::Cat::MachineExec) |
@@ -142,7 +147,7 @@ runOracle(const Image &image, const OracleConfig &cfg)
     // Every machine below inherits the budget token via the copied
     // config, so a cancel reels in whichever evaluator is running.
     mc.budget = cfg.budget;
-    Machine uop(image, uopBus, mc);
+    Machine uop(li, uopBus, mc);
     Machine::Outcome uopOut = uop.run(cfg.maxCycles);
     r.uopStatus = uopOut.status;
     r.uopDiagnostic = uopOut.diagnostic;
@@ -158,7 +163,7 @@ runOracle(const Image &image, const OracleConfig &cfg)
     MachineConfig rc = mc;
     rc.tier = DispatchTier::WordWalk;
     rc.trace = nullptr;
-    Machine ref(image, refBus, rc);
+    Machine ref(li, refBus, rc);
     Machine::Outcome refOut = ref.run(cfg.maxCycles);
 
     // The fast-functional tier, when compared, runs even on images
@@ -173,7 +178,7 @@ runOracle(const Image &image, const OracleConfig &cfg)
         fc.tier = DispatchTier::FastFunctional;
         fc.trace = nullptr;
         fc.fsmTally = false;
-        Machine fast(image, fastBus, fc);
+        Machine fast(li, fastBus, fc);
         fastOut = fast.run(cfg.maxCycles);
     }
 
@@ -341,7 +346,7 @@ runOracle(const Image &image, const OracleConfig &cfg)
     // the evaluator's hard stop: a correct lift ends at exactly that
     // total, so the bound never fires except on a lifting bug.
     if (cfg.compareIr) {
-        ir::LiftResult lift = ir::liftImage(image);
+        ir::LiftResult lift = ir::liftLoaded(*li, dec.program);
         if (!lift.ok) {
             r.verdict = Verdict::Divergence;
             r.detail =
@@ -417,10 +422,10 @@ runOracle(const Image &image, const OracleConfig &cfg)
         sc.trace = nullptr;
         sc.fsmTally = false;
         RecordBus snapBus;
-        Machine src(image, snapBus, sc);
+        Machine src(li, snapBus, sc);
         src.advance(uop.cycles() / 2);
         auto snap = src.snapshot();
-        Machine fork(image, snapBus, sc);
+        Machine fork(li, snapBus, sc);
         fork.restore(*snap);
         Machine::Outcome forkOut = fork.run(cfg.maxCycles);
         r.snapshotChecked = true;

@@ -126,6 +126,20 @@ liftExpr(const Expr &e, Module &m, const TimingModel &t)
     return at;
 }
 
+/** The load-artifact gates, in the loader's order: "" when the
+ *  machine would run the artifact. */
+std::string
+gateError(const LoadedImage &li)
+{
+    if (!li.headerOk)
+        return "header: " + li.headerError;
+    if (!li.hasPredecode)
+        return "predecode: artifact built without predecode";
+    if (!li.pre.ok)
+        return "predecode: " + li.pre.error;
+    return "";
+}
+
 } // namespace
 
 LiftResult
@@ -196,28 +210,13 @@ liftProgram(Program &program, size_t imageWords)
 }
 
 LiftResult
-liftLoaded(const LoadedImage &li)
+liftLoaded(const LoadedImage &li, const Program &decoded)
 {
     LiftResult r;
-    if (!li.headerOk) {
-        r.error = "header: " + li.headerError;
+    r.error = gateError(li);
+    if (!r.error.empty())
         return r;
-    }
-    if (!li.hasPredecode) {
-        r.error = "predecode: artifact built without predecode";
-        return r;
-    }
-    if (!li.pre.ok) {
-        r.error = "predecode: " + li.pre.error;
-        return r;
-    }
-    DecodeResult d = decodeProgram(li.image);
-    if (!d.ok) {
-        r.error = "decode: " + d.error;
-        return r;
-    }
-    r = liftProgram(static_cast<const Program &>(d.program),
-                    li.image.size());
+    r = liftProgram(decoded, li.image.size());
     if (!r.module.hasEntry || r.module.entry != li.entry) {
         // Unreachable when headerOk (the loader requires a zero-arg
         // entry and computes it the same way); kept as a hard gate
@@ -226,6 +225,21 @@ liftLoaded(const LoadedImage &li)
         r.error = "lift: entry disagrees with the load artifact";
     }
     return r;
+}
+
+LiftResult
+liftLoaded(const LoadedImage &li)
+{
+    LiftResult r;
+    r.error = gateError(li);
+    if (!r.error.empty())
+        return r;
+    DecodeResult d = decodeProgram(li.image);
+    if (!d.ok) {
+        r.error = "decode: " + d.error;
+        return r;
+    }
+    return liftLoaded(li, d.program);
 }
 
 LiftResult

@@ -63,8 +63,15 @@ LiftResult liftProgram(Program &program, size_t imageWords = 0);
 
 /** Lift a load artifact. Rejects exactly when the machine loader
  *  would refuse to run it (bad header, predecode failure, decode
- *  failure). */
+ *  failure). Decodes the artifact's image, then lifts through the
+ *  overload below. */
 LiftResult liftLoaded(const LoadedImage &li);
+
+/** Same, with the artifact's image already decoded by the caller
+ *  (`decoded` must be the successful decodeProgram(li.image)), so a
+ *  consumer that holds both lifts without a second load and decode.
+ *  Applies the header and predecode gates. */
+LiftResult liftLoaded(const LoadedImage &li, const Program &decoded);
 
 /** Convenience: build the load artifact and lift it. */
 LiftResult liftImage(const Image &image);

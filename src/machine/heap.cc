@@ -19,26 +19,105 @@ namespace
 // field, which cannot exceed 0x7ff).
 constexpr size_t kMaxObjWords = 1 + 0x7ff;
 
-} // namespace
+// Retired stores parked per thread for the next heap of the same
+// size. A freed store of oracle size comes back from glibc's arena,
+// and calloc then memsets all of it; a parked store was zeroed only
+// over the prefix its last heap dirtied.
+constexpr size_t kParkedStores = 8;
 
-Heap::WordStore::WordStore(size_t words)
-    : p(static_cast<Word *>(std::calloc(words, sizeof(Word)))),
-      n(words)
+struct StorePool
 {
-    if (!p)
-        fatal("heap: cannot allocate a %zu-word store", words);
+    struct Parked
+    {
+        Word *p;
+        size_t words;
+    };
+    Parked slots[kParkedStores] = {};
+    size_t count = 0;
+
+    StorePool() = default;
+    StorePool(const StorePool &) = delete;
+    StorePool &operator=(const StorePool &) = delete;
+    ~StorePool();
+};
+
+// Trivially destructible, so still readable once this thread's pool
+// is destroyed (a Heap that dies during static destruction).
+thread_local bool poolGone = false;
+
+StorePool::~StorePool()
+{
+    for (size_t i = 0; i < count; ++i)
+        std::free(slots[i].p);
+    count = 0;
+    poolGone = true;
 }
 
-Heap::WordStore::~WordStore() { std::free(p); }
+StorePool *
+localPool()
+{
+    if (poolGone)
+        return nullptr;
+    thread_local StorePool pool;
+    return &pool;
+}
+
+/** An all-zero store of `words` words: the most recently parked one
+ *  of that size, else a fresh calloc. */
+Word *
+takeStore(size_t words)
+{
+    if (StorePool *pool = localPool()) {
+        for (size_t i = pool->count; i-- > 0;) {
+            if (pool->slots[i].words == words) {
+                Word *p = pool->slots[i].p;
+                pool->slots[i] = pool->slots[--pool->count];
+                return p;
+            }
+        }
+    }
+    auto *p = static_cast<Word *>(std::calloc(words, sizeof(Word)));
+    if (!p)
+        fatal("heap: cannot allocate a %zu-word store", words);
+    return p;
+}
+
+/** Zero the first `dirty` words and park the store, or free it when
+ *  the pool is full or already destroyed. */
+void
+parkStore(Word *p, size_t words, size_t dirty)
+{
+    StorePool *pool = localPool();
+    if (!pool || pool->count == kParkedStores) {
+        std::free(p);
+        return;
+    }
+    std::memset(p, 0, dirty * sizeof(Word));
+    pool->slots[pool->count++] = { p, words };
+}
+
+} // namespace
 
 Heap::Heap(size_t semispaceWords, const TimingModel &timing,
            MachineStats &stats)
-    : store(semispaceWords * 2 + kMaxObjWords), mem(store.data()),
+    : mem(takeStore(semispaceWords * 2 + kMaxObjWords)),
       semiWords(semispaceWords), timing(timing), stats(stats)
 {
     base = 0;
     allocPtr = 0;
     limit = semiWords;
+}
+
+Heap::~Heap()
+{
+    parkStore(mem, semiWords * 2 + kMaxObjWords, dirtyEnd());
+}
+
+size_t
+Heap::parkedStores()
+{
+    StorePool *pool = localPool();
+    return pool ? pool->count : 0;
 }
 
 Word
@@ -153,6 +232,7 @@ Heap::evacuate(Word addr)
 
     mem[addr] = mhdr::pack(ObjKind::Fwd, 1, 0);
     mem[addr + 1] = naddr;
+    raiseDirty(size_t(addr) + 2);
     return naddr;
 }
 
@@ -227,6 +307,7 @@ Heap::evacuateInd(Word addr, Word h)
             }
             mem[addr] = mhdr::pack(ObjKind::Fwd, 1, 0);
             mem[addr + 1] = naddr;
+            raiseDirty(size_t(addr) + 2);
             fwdTo = naddr;
             break;
         }
@@ -258,6 +339,7 @@ Heap::evacuateInd(Word addr, Word h)
 
         mem[addr] = mhdr::pack(ObjKind::Fwd, 1, 0);
         mem[addr + 1] = naddr;
+        raiseDirty(size_t(addr) + 2);
         fwdTo = naddr;
         break;
     }
@@ -265,6 +347,7 @@ Heap::evacuateInd(Word addr, Word h)
     for (Word link : indChain) {
         mem[link] = mhdr::pack(ObjKind::Fwd, 1, 0);
         mem[link + 1] = fwdTo;
+        raiseDirty(size_t(link) + 2);
     }
     return fwdTo;
 }
@@ -278,6 +361,9 @@ Heap::collect(const RootProvider &roots)
     if (tally)
         tally->add(MState::GcStart, timing.gcSetup);
 
+    // The space being left, and the to-space of an earlier aborted
+    // collection, stay dirty once allocPtr/toPtr move away from them.
+    raiseDirty(dirtyEnd());
     toBase = base == 0 ? semiWords : 0;
     toPtr = toBase;
 
@@ -316,6 +402,7 @@ Heap::collect(const RootProvider &roots)
         // untrustworthy either way, but the allocator bookkeeping
         // stays self-consistent and the machine halts with
         // HeapCorrupt at its next step instead of crashing the host.
+        // The aborted to-space stays dirty through toPtr.
         return;
     }
 
@@ -342,7 +429,7 @@ Heap::save(Snapshot &out) const
     out.oom = oom;
     out.corruptFlag = corruptFlag;
     out.corruptWhyStr = corruptWhyStr;
-    out.words.assign(mem, mem + store.size());
+    out.words.assign(mem, mem + dirtyEnd());
 }
 
 void
@@ -352,7 +439,14 @@ Heap::restore(const Snapshot &s)
         fatal("heap restore: semispace mismatch (%zu vs %zu words)",
               s.semiWords, semiWords);
     }
-    std::memcpy(mem, s.words.data(), s.words.size() * sizeof(Word));
+    size_t prefix = s.words.size();
+    size_t dirty = dirtyEnd();
+    std::memcpy(mem, s.words.data(), prefix * sizeof(Word));
+    if (dirty > prefix)
+        std::memset(mem + prefix, 0, (dirty - prefix) * sizeof(Word));
+    dirtyMark = prefix;
+    toBase = 0;
+    toPtr = 0;
     base = s.base;
     allocPtr = s.allocPtr;
     limit = s.limit;

@@ -34,19 +34,22 @@
  * MachineStatus::HeapCorrupt so the system layer's watchdog can
  * restart the λ-layer (docs/RESILIENCE.md).
  *
- * Host hot paths (docs/PERF.md, "Campaign-scale execution"): the
- * backing store is calloc-backed, so semispaces are zeroed lazily by
- * the OS instead of eagerly at construction; allocation and chase()
- * are inlined bump/short-circuit fast paths that fall out of line
- * only on overflow or an actual indirection; evacuation copies the
- * common non-indirection object without touching the chain scratch.
- * None of this changes a modelled cycle — the charge sequence is
+ * Host hot paths (docs/PERF.md, "Campaign-scale execution"): every
+ * store word at or past dirtyEnd() is zero, so a retiring heap zeroes
+ * only that dirty prefix and parks its store on a small per-thread
+ * free list for the next heap of the same size, and snapshots copy
+ * only the prefix; allocation and chase() are inlined
+ * bump/short-circuit fast paths that fall out of line only on
+ * overflow or an actual indirection; evacuation copies the common
+ * non-indirection object without touching the chain scratch. None of
+ * this changes a modelled cycle — the charge sequence is
  * byte-for-byte the seed's.
  */
 
 #ifndef ZARF_MACHINE_HEAP_HH
 #define ZARF_MACHINE_HEAP_HH
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -145,6 +148,10 @@ class Heap
      */
     Heap(size_t semispaceWords, const TimingModel &timing,
          MachineStats &stats);
+    /** Zeroes the dirty prefix and parks the store for reuse. */
+    ~Heap();
+    Heap(const Heap &) = delete;
+    Heap &operator=(const Heap &) = delete;
 
     /**
      * Allocate an object. Returns the address of the header word,
@@ -185,9 +192,19 @@ class Heap
     /** Read payload word i of an object. */
     Word payload(Word addr, Word i) const { return mem[addr + 1 + i]; }
     /** Overwrite the header (update/blackhole). */
-    void setHeader(Word addr, Word h) { mem[addr] = h; }
+    void
+    setHeader(Word addr, Word h)
+    {
+        mem[addr] = h;
+        raiseDirty(size_t(addr) + 1);
+    }
     /** Overwrite payload word i. */
-    void setPayload(Word addr, Word i, Word v) { mem[addr + 1 + i] = v; }
+    void
+    setPayload(Word addr, Word i, Word v)
+    {
+        mem[addr + 1 + i] = v;
+        raiseDirty(size_t(addr) + 2 + i);
+    }
 
     /** Follow indirections to a representative value word. Walks at
      *  most one chain link per live object; a longer walk (possible
@@ -256,6 +273,19 @@ class Heap
      *  injection). `offset` is reduced modulo usedWords(); no-op on
      *  an empty heap. */
     void flipBit(size_t offset, unsigned bit);
+    /** One past the last store word that may be nonzero: every
+     *  word at or past it is zero. Writes outside the bump region
+     *  (wild updates, GC forwarding, the space a collection leaves,
+     *  an aborted collection's to-space) raise a high-water mark
+     *  this includes. */
+    size_t
+    dirtyEnd() const
+    {
+        return std::max({ dirtyMark, allocPtr, toPtr });
+    }
+    /** Retired stores parked on this thread's free list for reuse
+     *  (0 once the list is gone at thread exit). */
+    static size_t parkedStores();
     /** Cycles consumed by collections so far. */
     Cycles gcCycles() const { return stats.gcCycles; }
 
@@ -265,11 +295,13 @@ class Heap
 
     /**
      * A captured heap state (Machine::snapshot). The words vector
-     * holds the *entire* backing store, not just the active space:
-     * after a restore, a fault campaign may inject upsets whose
-     * corrupted references read the inactive space or the slack
-     * region, and those reads must see exactly what a never-restored
-     * run would have seen there.
+     * holds the store's dirty prefix [0, dirtyEnd()), not just the
+     * active space: after a restore, a fault campaign may inject
+     * upsets whose corrupted references read the inactive space or
+     * the slack region, and those reads must see exactly what a
+     * never-restored run would have seen there. Every word past the
+     * prefix is zero in the source, and restore() makes it zero in
+     * the target.
      */
     struct Snapshot
     {
@@ -285,27 +317,18 @@ class Heap
 
     /** Capture the complete heap state into `out`. */
     void save(Snapshot &out) const;
-    /** Restore a state captured by save(). The snapshot must come
-     *  from a heap of the same semispace size (fatal otherwise). */
+    /** Restore a state captured by save(): copy the snapshot's
+     *  prefix and zero this heap's own dirty words past it. The
+     *  snapshot must come from a heap of the same semispace size
+     *  (fatal otherwise). */
     void restore(const Snapshot &s);
 
   private:
-    /** The calloc-backed word store: pages are zeroed lazily by the
-     *  OS on first touch instead of eagerly at construction. */
-    class WordStore
+    void
+    raiseDirty(size_t end)
     {
-      public:
-        explicit WordStore(size_t words);
-        ~WordStore();
-        WordStore(const WordStore &) = delete;
-        WordStore &operator=(const WordStore &) = delete;
-        Word *data() const { return p; }
-        size_t size() const { return n; }
-
-      private:
-        Word *p = nullptr;
-        size_t n = 0;
-    };
+        dirtyMark = std::max(dirtyMark, end);
+    }
 
     /** Out-of-line alloc tail: collect via the hook and retry, or
      *  latch outOfMemory. */
@@ -335,9 +358,9 @@ class Heap
         }
     }
 
-    WordStore store;
-    Word *mem; // = store.data(); the hot-path alias
+    Word *mem;        // the all-zero-past-dirtyEnd() word store
     size_t semiWords; // semispace size in words
+    size_t dirtyMark = 0; // high-water mark of writes (dirtyEnd())
     size_t base = 0;
     size_t allocPtr = 0;
     size_t limit = 0;

@@ -1,5 +1,7 @@
 #include "obs/trace.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace zarf::obs
@@ -103,7 +105,16 @@ Recorder::Recorder(TraceConfig config) : cfg(config)
 {
     if (cfg.capacity == 0)
         cfg.capacity = 1;
-    ring.resize(cfg.capacity);
+}
+
+void
+Recorder::grow(const Event &e)
+{
+    if (ring.size() == ring.capacity())
+        ring.reserve(std::min(cfg.capacity,
+                              std::max<size_t>(64, 2 * ring.size())));
+    ring.push_back(e);
+    ++count;
 }
 
 void

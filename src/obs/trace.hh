@@ -11,10 +11,10 @@
  *    (bench_trace_overhead verifies the bound).
  *  - Deterministic: events are fixed-size integer records stamped
  *    with simulated λ cycles, recorded in emission order into a
- *    preallocated ring. Two runs of the same seed produce
- *    byte-identical exports; nothing depends on host time, pointer
- *    values, or thread scheduling (a Recorder is single-threaded by
- *    contract — one per simulated system).
+ *    ring that grows on demand up to its capacity. Two runs of the
+ *    same seed produce byte-identical exports; nothing depends on
+ *    host time, pointer values, or thread scheduling (a Recorder is
+ *    single-threaded by contract — one per simulated system).
  *  - Bounded: the ring drops the *oldest* events once full and
  *    counts the drops, so long co-simulations keep the most recent
  *    window without unbounded memory.
@@ -66,6 +66,10 @@ class Recorder
             return;
         ++nEmitted;
         if (count == ring.size()) {
+            if (ring.size() < cfg.capacity) {
+                grow(Event{ ts, a, b, k });
+                return;
+            }
             ++nDropped;
             ring[head] = Event{ ts, a, b, k };
             head = (head + 1) % ring.size();
@@ -110,8 +114,11 @@ class Recorder
     std::string toChromeJson() const;
 
   private:
+    /** Append to a ring still below capacity (head is 0 there). */
+    void grow(const Event &e);
+
     TraceConfig cfg;
-    std::vector<Event> ring;
+    std::vector<Event> ring; ///< Grows on demand up to cfg.capacity.
     size_t head = 0;  ///< Index of the oldest held event.
     size_t count = 0; ///< Held events.
     uint64_t nEmitted = 0;

@@ -11,6 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <iterator>
+#include <string>
+
 #include "fuzz/genprog.hh"
 #include "common/testprogs.hh"
 #include "ecg/synth.hh"
@@ -273,6 +278,128 @@ TEST(ObsProperty, RecorderDropsOldestAndCounts)
     EXPECT_EQ(rec.at(0).a, 6);
     EXPECT_EQ(rec.at(3).a, 9);
 }
+
+/** The ring's reference model: an unbounded deque trimmed from the
+ *  front, with its own emitted/dropped counters. */
+struct RingModel
+{
+    size_t capacity;
+    std::deque<obs::Event> held;
+    uint64_t emitted = 0;
+    uint64_t dropped = 0;
+
+    void
+    emit(const obs::Event &e)
+    {
+        ++emitted;
+        held.push_back(e);
+        if (held.size() > capacity) {
+            held.pop_front();
+            ++dropped;
+        }
+    }
+
+    void
+    clear()
+    {
+        held.clear();
+        emitted = 0;
+        dropped = 0;
+    }
+
+    /** Chrome JSON of the model's window: a recorder just large
+     *  enough to hold it without wrapping, with the model's
+     *  counters in the trailer. */
+    std::string
+    chromeJson() const
+    {
+        obs::Recorder flat(
+            obs::TraceConfig{ std::max<size_t>(held.size(), 1),
+                              obs::kAllCats });
+        for (const obs::Event &e : held)
+            flat.emit(e.kind, e.ts, e.a, e.b);
+        std::string json = flat.toChromeJson();
+        std::string from = "\"emitted\": " +
+                           std::to_string(held.size()) +
+                           ", \"dropped\": 0}";
+        std::string to = "\"emitted\": " + std::to_string(emitted) +
+                         ", \"dropped\": " + std::to_string(dropped) +
+                         "}";
+        size_t at = json.rfind(from);
+        EXPECT_NE(at, std::string::npos);
+        return json.replace(at, from.size(), to);
+    }
+};
+
+void
+expectMatchesModel(const obs::Recorder &rec, const RingModel &m)
+{
+    ASSERT_EQ(rec.size(), m.held.size());
+    EXPECT_EQ(rec.emitted(), m.emitted);
+    EXPECT_EQ(rec.dropped(), m.dropped);
+    auto same = [](const obs::Event &x, const obs::Event &y) {
+        return x.ts == y.ts && x.a == y.a && x.b == y.b &&
+               x.kind == y.kind;
+    };
+    for (size_t i = 0; i < m.held.size(); ++i)
+        ASSERT_TRUE(same(rec.at(i), m.held[i])) << "at(" << i << ")";
+    size_t i = 0;
+    bool inOrder = true;
+    rec.forEach([&](const obs::Event &e) {
+        inOrder = inOrder && i < m.held.size() && same(e, m.held[i]);
+        ++i;
+    });
+    EXPECT_TRUE(inOrder);
+    EXPECT_EQ(i, m.held.size());
+    EXPECT_EQ(rec.toChromeJson(), m.chromeJson());
+}
+
+class ObsRingModel : public ::testing::TestWithParam<size_t>
+{};
+
+TEST_P(ObsRingModel, RingMatchesDequeModelAcrossWrapAndClear)
+{
+    const size_t cap = GetParam();
+    obs::Recorder rec(obs::TraceConfig{ cap, obs::kAllCats });
+    RingModel model{ cap, {}, 0, 0 };
+    const obs::EventKind kinds[] = {
+        obs::EventKind::MachLoad,     obs::EventKind::GcBegin,
+        obs::EventKind::GcEnd,        obs::EventKind::TickConsumed,
+        obs::EventKind::MbBranch,     obs::EventKind::ChanPush,
+    };
+    uint64_t serial = 0;
+    auto emitN = [&](size_t n) {
+        for (size_t k = 0; k < n; ++k, ++serial) {
+            obs::Event e{ Cycles(serial * 3),
+                          int64_t(serial) - 17, int64_t(serial * 7),
+                          kinds[serial % std::size(kinds)] };
+            rec.emit(e.kind, e.ts, e.a, e.b);
+            model.emit(e);
+        }
+    };
+
+    expectMatchesModel(rec, model); // empty
+    emitN(cap / 2 + 1);             // part-filled, no wrap yet
+    expectMatchesModel(rec, model);
+    rec.clear();
+    model.clear();
+    emitN(cap + 2); // regrow a cleared, part-grown ring past capacity
+    expectMatchesModel(rec, model);
+    emitN(2 * cap + 3); // across the wrap, several times
+    expectMatchesModel(rec, model);
+
+    rec.clear();
+    model.clear();
+    expectMatchesModel(rec, model);
+    emitN(cap / 3 + 1); // refill a cleared, already-grown ring
+    expectMatchesModel(rec, model);
+    emitN(cap + 2); // and wrap it again
+    expectMatchesModel(rec, model);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, ObsRingModel,
+                         ::testing::Values(size_t(1), size_t(7),
+                                           size_t(1) << 15));
 
 } // namespace
 } // namespace zarf
